@@ -261,7 +261,6 @@ BENCHMARK(BM_StreamIngest)->Arg(100'000)->Unit(benchmark::kMillisecond);
 void BM_MillionJobSim(benchmark::State& state) {
   report::RunSpec spec;
   spec.workload = wl::WorkloadSource::from_spec(low_load_spec(1'000'000), 11);
-  spec.stream = true;
   spec.retain_jobs = false;
   spec.instruments = {"wait-trace", "utilization"};
   spec.sample.cap = 512;

@@ -34,11 +34,11 @@ can express, over src/, tests/, examples/ and bench/:
                    through the sinks/CSV writers. The CLI/daemon entry
                    points that legitimately own stdout/stderr carry a
                    suppression naming that fact.
-  eager-ingest     src/sim must not call wl::load_source(): the core
-                   pulls jobs through wl::open_stream()/JobStream under a
+  eager-ingest     src/ outside src/workload (where it is defined) must
+                   not call wl::load_source(): every execution path pulls
+                   jobs through wl::open_stream()/JobStream under a
                    bounded lookahead window, so a materialized trace
-                   (O(jobs) memory) can never sneak back into the
-                   simulation loop.
+                   (O(jobs) memory) can never sneak back into a run.
 
 The architecture-level rules (include-graph layering, cycles, orphan
 headers, [[nodiscard]]/noexcept API contracts) live in the sibling tool
@@ -235,18 +235,19 @@ def rule_own_header_first(scan_root, path, raw, findings_out):
 
 
 def rule_eager_ingest(path, raw, code, text):
-    # The simulation core pulls jobs through wl::JobStream under a bounded
-    # lookahead window; materializing a whole trace inside src/sim would
+    # Every run pulls jobs through wl::JobStream under a bounded lookahead
+    # window; materializing a whole trace anywhere in the library would
     # silently reintroduce O(jobs) memory on the million-job path.
-    if not path.startswith("src/sim/"):
+    # src/workload defines load_source() on top of the streams.
+    if not path.startswith("src/") or path.startswith("src/workload/"):
         return []
     findings = []
     for i, line in enumerate(code, 1):
         if EAGER_INGEST_RE.search(line):
             findings.append(
-                (i, "load_source() inside src/sim materializes the whole "
-                    "trace — pull jobs through wl::open_stream()/JobStream "
-                    "(callers that need a vector materialize outside sim)"))
+                (i, "load_source() materializes the whole trace — pull "
+                    "jobs through wl::open_stream()/JobStream (callers "
+                    "that need a vector materialize outside src/)"))
     return findings
 
 
@@ -299,8 +300,9 @@ RULES = {
                  "#include <iostream> in library code under src/ (use "
                  "util::log; entry points suppress with a reason)"),
     "eager-ingest": (rule_eager_ingest,
-                     "wl::load_source() call sites in src/sim — the core "
-                     "ingests jobs through the streaming JobStream window"),
+                     "wl::load_source() call sites in src/ outside "
+                     "src/workload — every run ingests jobs through the "
+                     "streaming JobStream window"),
 }
 
 assert set(RULES) == set(LINT_RULES), (

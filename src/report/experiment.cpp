@@ -32,7 +32,8 @@ RunSpec RunSpec::parse(const util::Config& config) {
     sim::InstrumentRegistry::global().require(name);
   }
   spec.retain_jobs = config.get_bool("retain_jobs", true);
-  spec.stream = config.get_bool("stream", false);
+  // Legacy key: every run streams, but saved specs may still carry it.
+  (void)config.get_bool("stream", false);
   const std::int64_t cap = config.get_int("sample.cap", 0);
   BSLD_REQUIRE(cap >= 0, "RunSpec: sample.cap must be >= 0");
   spec.sample.cap = static_cast<std::uint64_t>(cap);
@@ -84,7 +85,6 @@ util::Config RunSpec::to_config() const {
     config.set("instruments", util::config_string_list(instruments));
   }
   if (!retain_jobs) config.set("retain_jobs", "false");
-  if (stream) config.set("stream", "true");
   if (sample.cap != 0) config.set("sample.cap", std::to_string(sample.cap));
   if (sample.mode != util::SamplePlan::Mode::kDecimate) {
     config.set("sample.mode", "reservoir");
@@ -111,7 +111,7 @@ namespace {
 // The platform models are heap-allocated and co-owned by every instrument
 // handed back on the result: EnergyProbe and UtilizationTrace hold
 // references into them (the models own their GearSet by value), so they
-// must live as long as the last instrument, not just one run_* frame.
+// must live as long as the last instrument, not just one run's frame.
 struct Platform {
   power::PowerModel power;
   power::BetaTimeModel time;
@@ -119,54 +119,9 @@ struct Platform {
       : power(std::move(p)), time(std::move(t)) {}
 };
 
-/// Everything a run needs besides its job source — shared verbatim by the
-/// materialized and streaming paths so the two cannot drift.
-struct RunAssembly {
-  std::shared_ptr<Platform> platform;
-  std::unique_ptr<core::SchedulingPolicy> policy;
-  std::unique_ptr<pm::PowerManager> manager;
-  sim::SimulationConfig config;
-  std::vector<std::shared_ptr<sim::Instrument>> instruments;
-};
-
-RunAssembly assemble_run(const RunSpec& spec, std::int32_t scaled_cpus) {
-  RunAssembly parts;
-  parts.platform = std::make_shared<Platform>(
-      power::PowerModel(spec.gears, spec.power),
-      power::BetaTimeModel(spec.gears, spec.beta));
-  parts.policy = core::PolicyRegistry::global().make(spec.policy);
-  // nullptr when the spec says pm = none: the simulation takes the exact
-  // pre-pm code paths, keeping the baseline bit-identical.
-  if (spec.pm.enabled()) {
-    parts.manager = pm::PowerManagerRegistry::global().make(
-        spec.pm, parts.platform->power);
-  }
-  parts.config.cpus = scaled_cpus;
-  parts.config.retain_jobs = spec.retain_jobs;
-  parts.config.power_manager = parts.manager.get();
-
-  // Extra views of the run's event stream, by registry name, in spec order.
-  const sim::InstrumentContext context{parts.platform->power,
-                                       parts.platform->time, spec.sample};
-  parts.instruments.reserve(spec.instruments.size());
-  const std::shared_ptr<Platform> platform = parts.platform;
-  for (const std::string& name : spec.instruments) {
-    auto built = sim::InstrumentRegistry::global().make(name, context);
-    // The deleter captures `platform`, extending the models' lifetime to
-    // the last surviving instrument.
-    parts.instruments.emplace_back(built.release(),
-                                   [platform](sim::Instrument* instrument) {
-                                     std::default_delete<sim::Instrument>()(
-                                         instrument);
-                                   });
-  }
-  return parts;
-}
-
-/// Streaming counterpart of run_workload()'s eager per-job transforms:
-/// clamps sizes for a shrunken machine and draws per-job betas, one job at
-/// a time. Bit-identical to the materialized loops because both consume
-/// the rng sequentially in trace order.
+/// Applies the spec's per-job transforms while the trace streams past:
+/// clamps sizes for a shrunken machine and draws per-job betas, consuming
+/// the rng sequentially in stream order.
 class ShapedStream final : public wl::JobStream {
  public:
   ShapedStream(wl::JobStream& inner, std::int32_t clamp_size,
@@ -199,74 +154,72 @@ class ShapedStream final : public wl::JobStream {
   util::Rng rng_;
 };
 
+/// The one execution path: shapes `source` for the spec's machine, builds
+/// the platform, policy, power manager and instruments, and simulates.
+RunResult run_source(wl::JobStream& source, const RunSpec& spec) {
+  const auto scaled_cpus = static_cast<std::int32_t>(
+      std::llround(static_cast<double>(source.cpus()) * spec.size_scale));
+  BSLD_REQUIRE(scaled_cpus >= 1, "RunSpec: scaled machine has no CPUs");
+  // Enlarged systems keep original job sizes (paper §1: "Since our jobs are
+  // rigid we have used original job sizes"); shrunken ones must clamp.
+  const std::int32_t clamp = scaled_cpus < source.cpus() ? scaled_cpus : 0;
+  // Per-job sensitivities (future-work extension) are seeded from the
+  // workload source so equal specs stay bit-identical.
+  ShapedStream shaped(source, clamp, spec.per_job_beta,
+                      wl::source_seed(spec.workload) ^ 0xbe7abe7aULL);
+
+  const auto platform = std::make_shared<Platform>(
+      power::PowerModel(spec.gears, spec.power),
+      power::BetaTimeModel(spec.gears, spec.beta));
+  const auto policy = core::PolicyRegistry::global().make(spec.policy);
+  // nullptr when the spec says pm = none: the simulation takes the exact
+  // pre-pm code paths, keeping the baseline bit-identical.
+  std::unique_ptr<pm::PowerManager> manager;
+  if (spec.pm.enabled()) {
+    manager = pm::PowerManagerRegistry::global().make(spec.pm, platform->power);
+  }
+  sim::SimulationConfig config;
+  config.cpus = scaled_cpus;
+  config.retain_jobs = spec.retain_jobs;
+  config.power_manager = manager.get();
+  sim::Simulation simulation(shaped, *policy, platform->power, platform->time,
+                             config);
+
+  // Extra views of the run's event stream, by registry name, in spec order.
+  const sim::InstrumentContext context{platform->power, platform->time,
+                                       spec.sample};
+  std::vector<std::shared_ptr<sim::Instrument>> instruments;
+  instruments.reserve(spec.instruments.size());
+  for (const std::string& name : spec.instruments) {
+    auto built = sim::InstrumentRegistry::global().make(name, context);
+    // The deleter captures `platform`, extending the models' lifetime to
+    // the last surviving instrument.
+    instruments.emplace_back(built.release(),
+                             [platform](sim::Instrument* instrument) {
+                               std::default_delete<sim::Instrument>()(
+                                   instrument);
+                             });
+    simulation.add_observer(*instruments.back());
+  }
+  return RunResult{spec, simulation.run(), std::move(instruments)};
+}
+
 }  // namespace
 
 RunResult run_one(const RunSpec& spec) {
   // Fail fast: don't open the workload for a spec the run would reject
   // anyway.
   BSLD_REQUIRE(spec.size_scale > 0.0, "run_one(): size_scale must be positive");
-  if (spec.stream) return run_stream(spec);
-  return run_workload(wl::load_source(spec.workload), spec);
+  const std::unique_ptr<wl::JobStream> source = wl::open_stream(spec.workload);
+  return run_source(*source, spec);
 }
 
 RunResult run_workload(wl::Workload workload, const RunSpec& spec) {
   BSLD_REQUIRE(spec.size_scale > 0.0,
                "run_workload(): size_scale must be positive");
-
-  const auto scaled_cpus = static_cast<std::int32_t>(
-      std::llround(static_cast<double>(workload.cpus) * spec.size_scale));
-  BSLD_REQUIRE(scaled_cpus >= 1, "run_workload(): scaled machine has no CPUs");
-  // Enlarged systems keep original job sizes (paper §1: "Since our jobs are
-  // rigid we have used original job sizes"); shrunken ones must clamp.
-  if (scaled_cpus < workload.cpus) {
-    for (wl::Job& job : workload.jobs) {
-      job.size = std::min(job.size, scaled_cpus);
-    }
-  }
-
-  if (spec.per_job_beta) {
-    // Deterministic per-job sensitivities (future-work extension): seeded
-    // from the workload source so equal specs stay bit-identical.
-    util::Rng rng(wl::source_seed(spec.workload) ^ 0xbe7abe7aULL);
-    for (wl::Job& job : workload.jobs) {
-      job.beta = rng.uniform(spec.per_job_beta->first,
-                             spec.per_job_beta->second);
-    }
-  }
-
-  RunAssembly parts = assemble_run(spec, scaled_cpus);
-  sim::Simulation simulation(workload, *parts.policy, parts.platform->power,
-                             parts.platform->time, parts.config);
-  for (const auto& instrument : parts.instruments) {
-    simulation.add_observer(*instrument);
-  }
-
-  RunResult result{spec, simulation.run(), std::move(parts.instruments)};
-  return result;
-}
-
-RunResult run_stream(const RunSpec& spec) {
-  BSLD_REQUIRE(spec.size_scale > 0.0,
-               "run_stream(): size_scale must be positive");
-
-  const std::unique_ptr<wl::JobStream> source = wl::open_stream(spec.workload);
-  const auto scaled_cpus = static_cast<std::int32_t>(
-      std::llround(static_cast<double>(source->cpus()) * spec.size_scale));
-  BSLD_REQUIRE(scaled_cpus >= 1, "run_stream(): scaled machine has no CPUs");
-
-  const std::int32_t clamp = scaled_cpus < source->cpus() ? scaled_cpus : 0;
-  ShapedStream shaped(*source, clamp, spec.per_job_beta,
-                      wl::source_seed(spec.workload) ^ 0xbe7abe7aULL);
-
-  RunAssembly parts = assemble_run(spec, scaled_cpus);
-  sim::Simulation simulation(shaped, *parts.policy, parts.platform->power,
-                             parts.platform->time, parts.config);
-  for (const auto& instrument : parts.instruments) {
-    simulation.add_observer(*instrument);
-  }
-
-  RunResult result{spec, simulation.run(), std::move(parts.instruments)};
-  return result;
+  wl::sort_by_submit(workload);
+  wl::VectorJobStream source(std::move(workload));
+  return run_source(source, spec);
 }
 
 RunResult::RunResult(RunSpec spec_in, sim::SimulationResult sim_in,

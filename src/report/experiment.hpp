@@ -15,7 +15,7 @@
 ///     pm::PowerManagerRegistry (pm/registry.hpp); "none" (the default)
 ///     is bit-identical to running without a manager;
 ///   * measurement — extra instruments by sim::InstrumentRegistry name
-///     plus a retain_jobs switch for streaming aggregate-only runs.
+///     plus a retain_jobs switch for aggregate-only runs.
 /// It round-trips through util::Config (parse/to_config) byte-identically,
 /// so a run is savable, diffable and replayable from a file
 /// (`bsldsim --spec run.conf`), and key() doubles as the deduplication key
@@ -65,11 +65,10 @@ struct RunSpec {
   /// equivalent). Off = streaming aggregate-only runs with O(1) memory;
   /// serialized as `retain_jobs = false` only when disabled.
   bool retain_jobs = true;
-  /// Execute through the streaming pipeline: wl::open_stream feeds the
-  /// simulation directly under its submit-lookahead window, so the trace
-  /// is never materialized. Results are bit-identical to the eager path;
-  /// combined with retain_jobs = false the run performs no O(jobs)
-  /// allocation end to end. Serialized as `stream = true` only when set.
+  /// Ignored: every run streams. This selected the streaming path while a
+  /// materialized one existed, and stays only so existing callers that
+  /// assign it keep compiling. It takes no part in to_config() or key();
+  /// parse() accepts a legacy `stream` key and drops it.
   bool stream = false;
   /// Time-series instrument sampling (wait-trace, utilization): the
   /// default plan retains every point; a non-zero cap bounds retention at
@@ -83,8 +82,9 @@ struct RunSpec {
   /// workload kinds, archive names, or unregistered policy names.
   static RunSpec parse(const util::Config& config);
 
-  /// Canonical serialized form: parse(to_config()) == *this and
-  /// re-serializing the parsed spec is byte-identical.
+  /// Canonical serialized form: parse(to_config()) == *this (up to the
+  /// ignored `stream` field) and re-serializing the parsed spec is
+  /// byte-identical.
   [[nodiscard]] util::Config to_config() const;
 
   /// to_config() rendered as text — the spec's identity. SweepRunner uses
@@ -143,9 +143,9 @@ struct RunResult {
   /// default-constructed result yields an empty payload, never a crash.
   [[nodiscard]] const sim::SimulationResult& sim() const;
 
-  /// Installs/replaces the payload. The only writers are run_workload()
-  /// and the result cache's deserializer; everything downstream reads
-  /// through sim().
+  /// Installs/replaces the payload. The only writers are run_one() /
+  /// run_workload() and the result cache's deserializer; everything
+  /// downstream reads through sim().
   void set_sim(sim::SimulationResult value);
 
   /// The instrument registered under `name`, or nullptr. Use
@@ -166,24 +166,18 @@ const T* instrument_as(const RunResult& result, std::string_view name) {
   return dynamic_cast<const T*>(result.instrument(name));
 }
 
-/// Executes one spec: builds the gear set / power / time models and the
-/// policy (via the registry), simulates, returns the result. Dispatches on
-/// spec.stream — materialize-then-run (run_workload) or pull straight from
-/// the source (run_stream); both are deterministic and bit-identical for
-/// equal specs.
+/// Executes one spec: opens spec.workload as a wl::JobStream, applies the
+/// machine scaling and per-job beta sampling as the jobs stream past,
+/// builds the gear set / power / time models and the policy (via the
+/// registry), and simulates. The trace is never materialized; with
+/// retain_jobs off the run performs no O(jobs) allocation end to end.
+/// Deterministic: equal specs give bit-identical results.
 RunResult run_one(const RunSpec& spec);
 
-/// Lower-level entry point for callers that already hold a workload (e.g.
-/// hand-written job lists): applies `spec`'s machine scaling, per-job beta
-/// sampling, platform models and policy to `workload`. run_one() with
-/// stream off is wl::load_source + run_workload.
+/// run_one() for callers that already hold a workload (e.g. hand-written
+/// job lists): stable-sorts it by submit (wl::sort_by_submit) and streams
+/// it through the same path. spec.workload only seeds per-job beta draws.
 RunResult run_workload(wl::Workload workload, const RunSpec& spec);
-
-/// Streaming entry point: opens spec.workload as a wl::JobStream and pulls
-/// it through the simulation's lookahead window — the trace is never held
-/// in memory. Machine scaling and per-job beta sampling are applied as
-/// stream decorators that reproduce run_workload()'s transforms exactly.
-RunResult run_stream(const RunSpec& spec);
 
 /// Energy of `run` normalized to `baseline` (paper's Figs. 3/7/8 y-axis).
 struct NormalizedEnergy {

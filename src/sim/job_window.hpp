@@ -5,8 +5,8 @@
 /// window when their submit event is scheduled (the lookahead pump) and
 /// leave once they have finished *and* their batched observer records have
 /// been delivered. Engine events and observer records carry the job's
-/// *global* trace index — its 0-based position in (submit, id) stream
-/// order — and the window maps that index to a slot in a power-of-two ring
+/// *global* trace index — its 0-based position in stream order — and the
+/// window maps that index to a slot in a power-of-two ring
 /// (slot = global & (capacity - 1)). Because admissions are contiguous and
 /// evictions retire the oldest live index first, a global index is live iff
 /// it lies in [evicted(), admitted()); a stale engine event for an already
@@ -14,12 +14,11 @@
 /// generation counters.
 ///
 /// Capacity grows geometrically when the live span outruns the ring, so a
-/// materialized run (which admits the whole trace up front) behaves exactly
-/// like the old flat per-slot vectors, while a streaming run's memory is
-/// bounded by the submit lookahead plus the number of jobs simultaneously
-/// queued or running. peak_live() reports the high-water mark — the number
-/// SimulationResult::peak_live_jobs exposes and the million-job memory test
-/// asserts on. Storage is recycled across runs through sim::RunArena.
+/// run's memory is bounded by the submit lookahead plus the number of jobs
+/// simultaneously queued or running. peak_live() reports the high-water
+/// mark — the number SimulationResult::peak_live_jobs exposes and the
+/// million-job memory test asserts on. Storage is recycled across runs
+/// through sim::RunArena.
 #pragma once
 
 #include <algorithm>

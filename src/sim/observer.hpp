@@ -43,9 +43,9 @@
 namespace bsld::sim {
 
 /// Resolves a global trace index to the job's trace record during batched
-/// delivery. The streaming simulation implements this over its live job
-/// window, so observers can read job fields without the whole workload ever
-/// being materialized. Resolution is only valid for indices carried by the
+/// delivery. The simulation implements this over its live job window, so
+/// observers can read job fields without the whole workload ever being
+/// materialized. Resolution is only valid for indices carried by the
 /// span currently being delivered — the referenced jobs are guaranteed live
 /// for exactly that long (eviction happens after delivery returns).
 class JobResolver {
@@ -55,22 +55,6 @@ class JobResolver {
   /// The trace record at 0-based stream position `trace_index`.
   [[nodiscard]] virtual const wl::Job& job_at(
       std::uint64_t trace_index) const = 0;
-};
-
-/// JobResolver over a materialized workload — for tests and standalone
-/// replay of recorded spans.
-class WorkloadJobResolver final : public JobResolver {
- public:
-  explicit WorkloadJobResolver(const wl::Workload& workload)
-      : workload_(&workload) {}
-
-  [[nodiscard]] const wl::Job& job_at(
-      std::uint64_t trace_index) const override {
-    return workload_->jobs[static_cast<std::size_t>(trace_index)];
-  }
-
- private:
-  const wl::Workload* workload_;
 };
 
 /// Everything recorded about one job's execution. Built by the simulator

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <unordered_set>
 #include <utility>
 
 #include "sim/arena.hpp"
@@ -25,47 +23,6 @@ namespace bsld::sim {
 // (kJobEnd pops before a same-time kJobSubmit in both schemes). And since
 // the stream is sorted, a job admitted while the clock sits at a popped
 // submit's time T has submit >= T — never scheduled in the past.
-
-Simulation::Simulation(const wl::Workload& workload,
-                       core::SchedulingPolicy& policy,
-                       const power::PowerModel& power_model,
-                       const power::BetaTimeModel& time_model,
-                       SimulationConfig config)
-    : policy_(policy),
-      power_model_(power_model),
-      time_model_(time_model),
-      config_(config),
-      pm_(config.power_manager),
-      view_(std::in_place, workload),
-      stream_(&*view_),
-      // Unlimited lookahead: the whole trace is admitted before the first
-      // event pops, exactly like the classic eager simulator — which also
-      // makes unsorted hand-built traces legal through this constructor.
-      lookahead_(std::numeric_limits<std::int64_t>::max()),
-      machine_(config.cpus > 0 ? config.cpus : workload.cpus),
-      engine_(RunArena::local().acquire_engine()),
-      window_(RunArena::local().acquire_job_window()),
-      cpu_slab_(RunArena::local().acquire_cpu_slab()) {
-  BSLD_REQUIRE(!workload.jobs.empty(), "Simulation: empty workload");
-  BSLD_REQUIRE(power_model_.gears() == time_model_.gears(),
-               "Simulation: power and time models must share one gear set");
-  // Eager whole-trace validation, so construction throws exactly where the
-  // pre-streaming simulator did. The pump re-checks per job; that repeat
-  // is cheap and keeps the streaming path self-sufficient.
-  std::unordered_set<JobId> seen;
-  seen.reserve(workload.jobs.size());
-  for (const wl::Job& job : workload.jobs) {
-    BSLD_REQUIRE(job.size >= 1 && job.size <= machine_.cpu_count(),
-                 "Simulation: job size outside [1, cpus] — clean or clamp "
-                 "the workload first");
-    BSLD_REQUIRE(job.run_time >= 0 && job.requested_time >= 1,
-                 "Simulation: invalid job durations");
-    BSLD_REQUIRE(seen.insert(job.id).second,
-                 "Simulation: duplicate job id");
-  }
-  index_.reserve(workload.jobs.size());
-  batch_.reserve(kBatchCapacity);
-}
 
 Simulation::Simulation(wl::JobStream& stream, core::SchedulingPolicy& policy,
                        const power::PowerModel& power_model,
@@ -184,11 +141,13 @@ void Simulation::start_job(JobId id, const std::vector<CpuId>& cpus,
                "Simulation: allocation size mismatch");
   BSLD_REQUIRE(engine_.now() >= trace.submit,
                "Simulation: job started before submission");
-  slot.started = true;
 
   // The power manager rules on every start: it may lower the gear under a
   // cap, gate the admission entirely, or charge a wake delay for sleeping
   // CPUs. Without a manager the decision is exactly the scheduler's ask.
+  // The slot stays unstarted until the decision is in: re-gearing other
+  // jobs pushes records, a push may flush, and the flush's eviction sweep
+  // would retire a started-but-not-running job out from under this call.
   pm::StartDecision decision{false, gear, 0};
   if (pm_ != nullptr) {
     decision = pm_->on_job_start(*this, id, cpus, gear);
@@ -227,6 +186,7 @@ void Simulation::start_job(JobId id, const std::vector<CpuId>& cpus,
   state.start_gear = start_gear;
   state.boosted = false;
   state.gated = decision.gate;
+  slot.started = true;
   state.running = true;
   state.scaled_requested =
       decision.wake_delay +
@@ -429,7 +389,7 @@ SimulationResult Simulation::run() {
   notify([&](SimObserver& observer) { observer.on_run_begin(begin); });
   if (pm_ != nullptr) pm_->on_run_begin(*this);
 
-  // Fill the lookahead window (the whole trace in the materialized form).
+  // Fill the lookahead window.
   pump_submits();
   BSLD_REQUIRE(window_.admitted() > 0, "Simulation: empty workload");
 
@@ -507,15 +467,6 @@ SimulationResult Simulation::run() {
   if (config_.retain_jobs) result.jobs = recorder.take();
   chain_.clear();
   return result;
-}
-
-SimulationResult run_simulation(const wl::Workload& workload,
-                                core::SchedulingPolicy& policy,
-                                const power::PowerModel& power_model,
-                                const power::BetaTimeModel& time_model,
-                                SimulationConfig config) {
-  Simulation simulation(workload, policy, power_model, time_model, config);
-  return simulation.run();
 }
 
 SimulationResult run_simulation(wl::JobStream& stream,

@@ -11,25 +11,23 @@
 /// (time-series instruments, downstream custom observers) attach via
 /// add_observer() without touching this class.
 ///
-/// Job ingestion is pull-based (docs/simulation-internals.md, "Job
-/// ingestion & streaming"): the simulation reads a wl::JobStream and keeps
-/// at most `submit_lookahead` un-popped submit events in the calendar
-/// queue, so a million-job trace flows through without ever being
-/// materialized. Job state lives in a sim::JobWindow — a bounded ring of
-/// in-flight jobs addressed by global trace index; engine events carry
-/// that index, so the event loop never hashes a JobId — and finished,
-/// delivered jobs are evicted from the front, bounding per-job memory by
-/// the lookahead window plus the jobs simultaneously queued or running.
-/// The materialized constructor streams the caller's wl::Workload through
-/// the same machinery with an unlimited lookahead, reproducing the classic
-/// schedule-everything-up-front behavior exactly. CPU lists are allocated
-/// from one run-wide slab with exact-size run reuse, and observer dispatch
-/// is batched (observer.hpp). The engine slab, CPU slab, and job-window
-/// ring are recycled across runs through the thread-local sim::RunArena.
+/// Job ingestion is pull-based and there is one execution path
+/// (docs/simulation-internals.md, "Job ingestion & streaming"): the
+/// simulation reads a wl::JobStream and keeps at most `submit_lookahead`
+/// un-popped submit events in the calendar queue, so a million-job trace
+/// flows through without ever being materialized. Callers holding a
+/// wl::Workload replay it through a wl::VectorJobStream. Job state lives in
+/// a sim::JobWindow — a bounded ring of in-flight jobs addressed by global
+/// trace index; engine events carry that index, so the event loop never
+/// hashes a JobId — and finished, delivered jobs are evicted from the
+/// front, bounding per-job memory by the lookahead window plus the jobs
+/// simultaneously queued or running. CPU lists are allocated from one
+/// run-wide slab with exact-size run reuse, and observer dispatch is
+/// batched (observer.hpp). The engine slab, CPU slab, and job-window ring
+/// are recycled across runs through the thread-local sim::RunArena.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -61,11 +59,10 @@ struct SimulationConfig {
   /// synthetic workloads run in O(1) memory per worker; SimulationResult
   /// aggregates are bit-identical either way.
   bool retain_jobs = true;
-  /// Streaming-constructor only: maximum submit events admitted to the
-  /// calendar queue ahead of the clock (clamped to >= 1). Larger values
-  /// trade memory for fewer stream pulls per event; event order — and
-  /// therefore every result — is independent of the value. The
-  /// materialized constructor ignores this and admits the whole trace.
+  /// Maximum submit events admitted to the calendar queue ahead of the
+  /// clock (clamped to >= 1). Larger values trade memory for fewer stream
+  /// pulls per event; event order — and therefore every result — is
+  /// independent of the value.
   std::int64_t submit_lookahead = 4096;
   /// Optional cluster power manager (non-owning; must outlive run()).
   /// nullptr — like the registered `pm=none` manager — leaves every run
@@ -91,8 +88,8 @@ struct SimulationResult {
   Time makespan = 0;                    ///< Last completion time.
   double utilization = 0.0;             ///< Busy share of cpus*horizon.
   std::uint64_t events_processed = 0;
-  /// High-water mark of simultaneously resident jobs — the streaming
-  /// memory bound (equals job_count for a materialized run).
+  /// High-water mark of simultaneously resident jobs — the per-job memory
+  /// bound (lookahead window plus queued and running jobs).
   std::int64_t peak_live_jobs = 0;
 };
 
@@ -106,21 +103,13 @@ class Simulation final : public core::SchedulerContext,
                          public pm::PmContext,
                          public JobResolver {
  public:
-  /// Materialized form: streams `workload` (which must outlive run())
-  /// through the windowed core with an unlimited lookahead, so behavior
-  /// and event order match the classic eager simulator exactly — including
-  /// tolerating unsorted hand-built traces. Throws bsld::Error on an empty
-  /// workload, non-positive machine size, jobs larger than the machine,
-  /// invalid durations, or duplicate ids.
-  Simulation(const wl::Workload& workload, core::SchedulingPolicy& policy,
-             const power::PowerModel& power_model,
-             const power::BetaTimeModel& time_model,
-             SimulationConfig config = {});
-  /// Streaming form: pulls jobs from `stream` on demand under
-  /// SimulationConfig::submit_lookahead. The stream must follow the
-  /// JobStream contract (sorted by (submit, id)); per-job validation
-  /// happens at admission, and an empty stream is diagnosed by run().
-  /// All references must outlive run().
+  /// Pulls jobs from `stream` on demand under
+  /// SimulationConfig::submit_lookahead. The stream must yield jobs in
+  /// non-decreasing submit order (wl::sort_by_submit brings a hand-built
+  /// trace there); same-time jobs are submitted in stream order. Jobs are
+  /// validated at admission, so run() throws bsld::Error on an empty
+  /// stream, a job larger than the machine, invalid durations, or an id
+  /// that is still live. All references must outlive run().
   Simulation(wl::JobStream& stream, core::SchedulingPolicy& policy,
              const power::PowerModel& power_model,
              const power::BetaTimeModel& time_model,
@@ -214,8 +203,7 @@ class Simulation final : public core::SchedulerContext,
   SimulationConfig config_;
   pm::PowerManager* pm_ = nullptr;  ///< == config_.power_manager.
 
-  std::optional<wl::WorkloadViewStream> view_;  ///< Materialized form only.
-  wl::JobStream* stream_ = nullptr;  ///< The ingestion source (or &*view_).
+  wl::JobStream* stream_ = nullptr;  ///< The ingestion source.
   std::int64_t lookahead_ = 0;       ///< Max outstanding submit events.
 
   cluster::Machine machine_;
@@ -248,13 +236,6 @@ class Simulation final : public core::SchedulerContext,
 };
 
 /// Convenience wrapper: wires the simulation and runs it.
-SimulationResult run_simulation(const wl::Workload& workload,
-                                core::SchedulingPolicy& policy,
-                                const power::PowerModel& power_model,
-                                const power::BetaTimeModel& time_model,
-                                SimulationConfig config = {});
-
-/// Streaming counterpart: drives the simulation straight off a JobStream.
 SimulationResult run_simulation(wl::JobStream& stream,
                                 core::SchedulingPolicy& policy,
                                 const power::PowerModel& power_model,

@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/log.hpp"
 #include "util/parse.hpp"
 #include "workload/swf.hpp"
@@ -33,17 +34,6 @@ WorkloadSource::Kind kind_from_name(const std::string& name) {
   if (name == "inline") return WorkloadSource::Kind::kInline;
   throw Error("WorkloadSource: unknown workload.source kind `" + name +
               "` (expected archive, swf or inline)");
-}
-
-/// FNV-1a: a platform-independent path hash, so SWF-derived auxiliary
-/// randomness is reproducible across machines (std::hash is not).
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
 }
 
 Time get_time(const util::Config& config, const std::string& key,
@@ -427,7 +417,9 @@ std::uint64_t source_seed(const WorkloadSource& source) {
     case WorkloadSource::Kind::kArchive:
       return source.seed == 0 ? archive_seed(source.archive) : source.seed;
     case WorkloadSource::Kind::kSwf:
-      return fnv1a(source.path) ^ source.seed;
+      // A platform-independent path hash, so SWF-derived auxiliary
+      // randomness is reproducible across machines (std::hash is not).
+      return util::fnv1a64(source.path) ^ source.seed;
     case WorkloadSource::Kind::kInline:
       return source.seed;
   }

@@ -19,6 +19,15 @@ Workload materialize(JobStream& stream) {
   return workload;
 }
 
+void sort_by_submit(Workload& workload) {
+  auto by_submit = [](const Job& a, const Job& b) {
+    return a.submit < b.submit;
+  };
+  if (!std::is_sorted(workload.jobs.begin(), workload.jobs.end(), by_submit)) {
+    std::stable_sort(workload.jobs.begin(), workload.jobs.end(), by_submit);
+  }
+}
+
 SortingJobStream::SortingJobStream(std::unique_ptr<JobStream> inner,
                                    std::size_t window)
     : inner_(std::move(inner)), window_(window) {

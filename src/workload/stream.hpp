@@ -1,14 +1,13 @@
 /// \file stream.hpp
 /// \brief Pull-based job streams: the lazy counterpart of wl::Workload.
 ///
-/// A JobStream yields the rows of a trace one at a time, in (submit, id)
-/// order, so million-job workloads can flow through the simulation without
-/// ever being materialized. Every producer in this library — the synthetic
+/// A JobStream yields the rows of a trace one at a time, in submit order,
+/// so million-job workloads can flow through the simulation without ever
+/// being materialized. Every producer in this library — the synthetic
 /// generator, the streaming SWF reader, the archive profiles — implements
-/// this interface; wl::load_source() is a thin materialize() wrapper over
-/// wl::open_stream(), which is how the eager and streaming paths are kept
-/// byte-identical (see docs/simulation-internals.md, "Job ingestion &
-/// streaming").
+/// this interface, and the simulation ingests nothing else: a caller that
+/// holds a materialized Workload replays it through a VectorJobStream (see
+/// docs/simulation-internals.md, "Job ingestion & streaming").
 #pragma once
 
 #include <cstdint>
@@ -21,12 +20,14 @@
 
 namespace bsld::wl {
 
-/// A pull-based source of jobs in strict (submit, id) order.
+/// A pull-based source of jobs in submit order.
 ///
 /// Contract: next() returns each job exactly once, non-decreasing in
-/// (submit, id); after the first empty optional the stream is exhausted and
-/// stays exhausted. name()/cpus() are stable across the whole drain.
-/// Streams are single-pass and not thread-safe.
+/// submit; the SWF, synthetic and archive sources also order same-time jobs
+/// by id, while a VectorJobStream keeps its trace order. After the first
+/// empty optional the stream is exhausted and stays exhausted.
+/// name()/cpus() are stable across the whole drain. Streams are
+/// single-pass and not thread-safe.
 class JobStream {
  public:
   virtual ~JobStream() = default;
@@ -47,7 +48,9 @@ class JobStream {
 };
 
 /// Adapts an already-materialized Workload (moved in) to the stream
-/// interface — the bridge for consumers that only speak JobStream.
+/// interface, replaying its jobs in vector order — the bridge for
+/// hand-built traces. Pass the workload through sort_by_submit() first
+/// when it may be unsorted.
 class VectorJobStream final : public JobStream {
  public:
   explicit VectorJobStream(Workload workload)
@@ -70,31 +73,11 @@ class VectorJobStream final : public JobStream {
   std::size_t next_ = 0;
 };
 
-/// Non-owning counterpart of VectorJobStream: streams a Workload the
-/// caller keeps alive (no copy). The simulation's materialized constructor
-/// routes through this so the windowed streaming machinery is the only
-/// execution path. The referenced workload must outlive the stream.
-class WorkloadViewStream final : public JobStream {
- public:
-  explicit WorkloadViewStream(const Workload& workload)
-      : workload_(&workload) {}
-
-  std::optional<Job> next() override {
-    if (next_ >= workload_->jobs.size()) return std::nullopt;
-    return workload_->jobs[next_++];
-  }
-  [[nodiscard]] const std::string& name() const override {
-    return workload_->name;
-  }
-  [[nodiscard]] std::int32_t cpus() const override { return workload_->cpus; }
-  [[nodiscard]] std::int64_t size_hint() const override {
-    return static_cast<std::int64_t>(workload_->jobs.size());
-  }
-
- private:
-  const Workload* workload_;
-  std::size_t next_ = 0;
-};
+/// Stable-sorts `workload`'s jobs by submit time alone, leaving an already
+/// sorted trace untouched. Same-time jobs keep their trace order, which is
+/// the order the simulation submits them in; hand-built traces go through
+/// here before they are streamed.
+void sort_by_submit(Workload& workload);
 
 /// Drains a stream into a materialized Workload. The inverse of
 /// VectorJobStream; load_source() is exactly open_stream() + materialize().

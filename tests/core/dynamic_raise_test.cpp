@@ -24,7 +24,8 @@ class DynamicRaiseTest : public ::testing::Test {
     dvfs.bsld_threshold = bsld_threshold;
     dvfs.wq_threshold = std::nullopt;
     const auto policy = make_dynamic_raise_policy(dvfs, raise, "FirstFit");
-    return sim::run_simulation(load, *policy, models_.power, models_.time);
+    wl::VectorJobStream stream = testing::stream_of(load);
+    return sim::run_simulation(stream, *policy, models_.power, models_.time);
   }
 
   Models models_;
@@ -143,7 +144,8 @@ TEST_F(DynamicRaiseTest, BoostGuardsInSimulation) {
   // boost_job on a non-running job / lowering gear must throw.
   const wl::Workload load = workload(2, {job(1, 0, 100, 200, 1)});
   const auto policy = make_policy(BasePolicy::kEasy, std::nullopt);
-  sim::Simulation simulation(load, *policy, models_.power, models_.time);
+  wl::VectorJobStream stream(load);
+  sim::Simulation simulation(stream, *policy, models_.power, models_.time);
   EXPECT_THROW(simulation.boost_job(1, 5), Error);  // nothing running yet
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "report/figures.hpp"
 #include "testing/helpers.hpp"
@@ -108,6 +109,25 @@ TEST(DynamicRaiseSpecTest, NoBoostsWithoutPressure) {
   spec.policy.raise = raise;
   const auto result = report::run_one(spec);
   EXPECT_EQ(result.sim().boosted_jobs, 0);
+}
+
+TEST(PowerCapSpecTest, TightUniformCapRunsSdscToCompletion) {
+  // A 4 kW cap keeps the manager re-gearing running jobs on almost every
+  // start; these seeds used to evict a job while it was being started.
+  for (const std::uint64_t seed : {1u, 5u, 9u, 10u}) {
+    report::RunSpec spec;
+    spec.workload =
+        wl::WorkloadSource::from_archive(wl::Archive::kSDSC, 1000, seed);
+    core::DvfsConfig dvfs;
+    dvfs.bsld_threshold = 2.0;
+    dvfs.wq_threshold = 16;
+    spec.policy.dvfs = dvfs;
+    spec.pm.name = "cap-uniform";
+    spec.pm.cap_watts = 4000.0;
+    report::RunResult result;
+    ASSERT_NO_THROW(result = report::run_one(spec)) << "seed " << seed;
+    EXPECT_EQ(result.sim().job_count, 1000) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 /// \file streaming_scale_test.cpp
-/// \brief The streaming pipeline's scale criteria: aggregates bit-identical
-/// to the materialized path (including the machine-scaling and per-job-beta
-/// stream decorators), and a 10^6-job streaming run whose per-job memory
-/// stays window-bounded — asserted through the simulation's own
-/// peak_live_jobs counter, not process RSS — with every time-series
-/// instrument capped at O(1) retention.
+/// \brief The streaming pipeline's scale criteria: aggregates, per-job
+/// schedules and instrument rows pinned to the values the simulator
+/// produced when it still had a separate materialized path (including the
+/// machine-scaling and per-job-beta stream decorators), and a 10^6-job run
+/// whose per-job memory stays window-bounded — asserted through the
+/// simulation's own peak_live_jobs counter, not process RSS — with every
+/// time-series instrument capped at O(1) retention.
 ///
 /// The million-job run uses an undersaturated inline generator profile:
 /// archive profiles run near saturation, so their wait queue (and with it
@@ -14,9 +15,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "report/experiment.hpp"
 #include "sim/instruments.hpp"
+#include "util/hash.hpp"
 #include "workload/source.hpp"
 #include "workload/synthetic.hpp"
 
@@ -36,46 +41,73 @@ wl::WorkloadSpec low_load_profile(std::int64_t jobs) {
   return spec;
 }
 
-void expect_bit_identical(const RunResult& lazy, const RunResult& eager) {
-  // Bit-identical, not approximately equal: the streaming path must pop
-  // the exact same event sequence as the materialized one.
-  EXPECT_EQ(lazy.sim().job_count, eager.sim().job_count);
-  EXPECT_EQ(lazy.sim().avg_bsld, eager.sim().avg_bsld);
-  EXPECT_EQ(lazy.sim().avg_wait, eager.sim().avg_wait);
-  EXPECT_EQ(lazy.sim().energy.total_joules, eager.sim().energy.total_joules);
-  EXPECT_EQ(lazy.sim().makespan, eager.sim().makespan);
-  EXPECT_EQ(lazy.sim().reduced_jobs, eager.sim().reduced_jobs);
-  EXPECT_EQ(lazy.sim().jobs_per_gear, eager.sim().jobs_per_gear);
-  EXPECT_EQ(lazy.sim().utilization, eager.sim().utilization);
-  EXPECT_EQ(lazy.sim().events_processed, eager.sim().events_processed);
+/// Aggregates pinned bit-for-bit (doubles printed with 17 significant
+/// digits round-trip exactly).
+struct PinnedAggregates {
+  std::int64_t job_count;
+  double avg_bsld;
+  double avg_wait;
+  double total_joules;
+  Time makespan;
+  std::int64_t reduced_jobs;
+  std::vector<std::int64_t> jobs_per_gear;
+  double utilization;
+  std::uint64_t events_processed;
+};
+
+void expect_pinned(const sim::SimulationResult& run,
+                   const PinnedAggregates& pinned) {
+  EXPECT_EQ(run.job_count, pinned.job_count);
+  EXPECT_EQ(run.avg_bsld, pinned.avg_bsld);
+  EXPECT_EQ(run.avg_wait, pinned.avg_wait);
+  EXPECT_EQ(run.energy.total_joules, pinned.total_joules);
+  EXPECT_EQ(run.makespan, pinned.makespan);
+  EXPECT_EQ(run.reduced_jobs, pinned.reduced_jobs);
+  EXPECT_EQ(run.jobs_per_gear, pinned.jobs_per_gear);
+  EXPECT_EQ(run.utilization, pinned.utilization);
+  EXPECT_EQ(run.events_processed, pinned.events_processed);
 }
 
-TEST(StreamingScaleTest, StreamingAggregatesMatchMaterializedPrefix) {
+/// FNV-1a digest of every job's (id, start, end, gear), in trace order.
+std::string schedule_digest(const std::vector<sim::JobOutcome>& jobs) {
+  std::string text;
+  for (const sim::JobOutcome& job : jobs) {
+    text += std::to_string(job.id) + ',' + std::to_string(job.start) + ',' +
+            std::to_string(job.end) + ',' + std::to_string(job.gear) + ';';
+  }
+  return util::hex64(util::fnv1a64(text));
+}
+
+/// FNV-1a digest of an instrument's CSV rows.
+std::string rows_digest(const sim::Instrument& instrument) {
+  std::ostringstream csv;
+  instrument.write_csv(csv);
+  return util::hex64(util::fnv1a64(csv.str()));
+}
+
+TEST(StreamingScaleTest, AggregatesMatchThePinnedRun) {
   RunSpec spec;
   spec.workload = wl::WorkloadSource::from_spec(low_load_profile(100000), 11);
-  spec.retain_jobs = false;  // aggregate-only on both paths.
+  spec.retain_jobs = false;
   core::DvfsConfig dvfs;
   dvfs.bsld_threshold = 2.0;
   dvfs.wq_threshold = 4;
   spec.policy.dvfs = dvfs;
 
-  RunSpec streamed = spec;
-  streamed.stream = true;
-
-  const RunResult eager = run_one(spec);
-  const RunResult lazy = run_one(streamed);
-  expect_bit_identical(lazy, eager);
-
-  // The materialized run holds the whole trace; the streaming run holds a
-  // window of it.
-  EXPECT_EQ(eager.sim().peak_live_jobs, eager.sim().job_count);
-  EXPECT_LT(lazy.sim().peak_live_jobs, lazy.sim().job_count / 10);
+  const RunResult result = run_one(spec);
+  expect_pinned(result.sim(),
+                {100000, 1.022491745393862, 16.506519999999998,
+                 7558420252.8463774, 1050366, 87975,
+                 {83868, 2091, 1011, 602, 403, 12025}, 0.59333366074896754,
+                 200000});
+  // The run holds a window of the trace, not the trace.
+  EXPECT_LT(result.sim().peak_live_jobs, result.sim().job_count / 10);
 }
 
-TEST(StreamingScaleTest, StreamDecoratorsReproduceTheEagerTransforms) {
+TEST(StreamingScaleTest, StreamDecoratorsMatchThePinnedTransforms) {
   // Machine scaling below 1 clamps job sizes and per-job beta draws one
-  // value per trace position — both are applied by stream decorators on
-  // the lazy path and must reproduce run_workload()'s loops exactly.
+  // value per trace position — both are stream decorators on the one
+  // path, pinned against the former eager loops' results.
   RunSpec spec;
   spec.workload = wl::WorkloadSource::from_archive(wl::Archive::kSDSC, 5000);
   spec.size_scale = 0.8;  // scaled machine smaller: sizes clamp.
@@ -85,32 +117,26 @@ TEST(StreamingScaleTest, StreamDecoratorsReproduceTheEagerTransforms) {
   spec.policy.dvfs = dvfs;
   spec.instruments = {"wait-trace", "utilization"};
 
-  RunSpec streamed = spec;
-  streamed.stream = true;
+  const RunResult result = run_one(spec);
+  expect_pinned(result.sim(),
+                {5000, 612.76235407453828, 976320.549, 64032058246.869568,
+                 8276706, 5, {0, 4, 1, 0, 0, 4995}, 0.74495037224788152,
+                 10000});
+  EXPECT_EQ(schedule_digest(result.sim().jobs), "b1da1c518f8baa85");
 
-  const RunResult eager = run_one(spec);
-  const RunResult lazy = run_one(streamed);
-  expect_bit_identical(lazy, eager);
-
-  // Instrument output is bit-identical too (sampling off by default).
-  const auto* eager_waits =
-      instrument_as<sim::WaitQueueTrace>(eager, "wait-trace");
-  const auto* lazy_waits =
-      instrument_as<sim::WaitQueueTrace>(lazy, "wait-trace");
-  ASSERT_NE(eager_waits, nullptr);
-  ASSERT_NE(lazy_waits, nullptr);
-  ASSERT_EQ(lazy_waits->waits().size(), eager_waits->waits().size());
-  for (std::size_t i = 0; i < eager_waits->waits().size(); ++i) {
-    EXPECT_EQ(lazy_waits->waits()[i].wait, eager_waits->waits()[i].wait);
-    EXPECT_EQ(lazy_waits->waits()[i].start, eager_waits->waits()[i].start);
-  }
+  // Instrument output is pinned too (sampling off by default).
+  const sim::Instrument* waits = result.instrument("wait-trace");
+  const sim::Instrument* utilization = result.instrument("utilization");
+  ASSERT_NE(waits, nullptr);
+  ASSERT_NE(utilization, nullptr);
+  EXPECT_EQ(rows_digest(*waits), "38ff3332bed2bd88");
+  EXPECT_EQ(rows_digest(*utilization), "556398c54df5aac1");
 }
 
 TEST(StreamingScaleTest, MillionJobRunStaysWindowBounded) {
   constexpr std::int64_t kJobs = 1000000;
   RunSpec spec;
   spec.workload = wl::WorkloadSource::from_spec(low_load_profile(kJobs), 11);
-  spec.stream = true;
   spec.retain_jobs = false;
   spec.instruments = {"wait-trace", "utilization"};
   spec.sample.cap = 512;

@@ -1,4 +1,4 @@
-// Fixture: the eager-ingest rule (path-scoped to src/sim — the core pulls
+// Fixture: the eager-ingest rule (every src/ module but src/workload pulls
 // jobs through wl::JobStream; materializing a trace there is O(jobs) memory).
 #include "workload/source.hpp"
 

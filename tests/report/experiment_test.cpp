@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
+#include <utility>
 
 #include "util/error.hpp"
 #include "workload/swf.hpp"
@@ -130,6 +132,38 @@ TEST(RunWorkloadTest, SizeScaleAppliesToHandBuiltWorkloads) {
   const RunResult result = run_workload(load, spec);
   EXPECT_EQ(result.sim().cpus, 4);
   EXPECT_EQ(result.sim().jobs[0].size, 4);
+}
+
+TEST(RunWorkloadTest, UnsortedTraceRunsInStableSubmitOrder) {
+  // Rows out of submit order with same-time ties (jobs 1/6 at 0, 3/2/4 at
+  // 100, 5/7 at 300). The starts are pinned to the schedule the simulator
+  // produced when it admitted the whole unsorted trace up front: same-time
+  // jobs are submitted in trace order, not id order.
+  wl::Workload load;
+  load.name = "unsorted";
+  load.cpus = 4;
+  load.jobs = {{1, 0, 500, 600, 4, 0, -1.0},  {5, 300, 100, 200, 2, 0, -1.0},
+               {6, 0, 20, 30, 1, 0, -1.0},    {3, 100, 50, 80, 2, 0, -1.0},
+               {2, 100, 60, 100, 2, 0, -1.0}, {4, 100, 40, 50, 4, 0, -1.0},
+               {7, 300, 10, 20, 1, 0, -1.0}};
+  RunSpec reduced;
+  core::DvfsConfig dvfs;
+  dvfs.bsld_threshold = 2.0;
+  reduced.policy.dvfs = dvfs;
+  const std::map<JobId, Time> top_starts{{1, 0},   {2, 520}, {3, 500}, {4, 580},
+                                         {5, 620}, {6, 500}, {7, 500}};
+  const std::map<JobId, Time> reduced_starts{{1, 0},    {2, 989}, {3, 969},
+                                             {4, 1049}, {5, 1089}, {6, 969},
+                                             {7, 969}};
+  for (const auto& [spec, pinned] :
+       {std::pair{RunSpec{}, top_starts}, std::pair{reduced, reduced_starts}}) {
+    const RunResult result = run_workload(load, spec);
+    std::map<JobId, Time> starts;
+    for (const sim::JobOutcome& job : result.sim().jobs) {
+      starts[job.id] = job.start;
+    }
+    EXPECT_EQ(starts, pinned);
+  }
 }
 
 TEST(RunOneTest, InvalidScaleRejected) {

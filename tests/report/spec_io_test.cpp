@@ -88,8 +88,7 @@ std::vector<RunSpec> representative_specs() {
     specs.push_back(spec);
   }
   {
-    RunSpec spec;  // streaming run with sampled traces, every new key set
-    spec.stream = true;
+    RunSpec spec;  // aggregate-only run with sampled traces
     spec.retain_jobs = false;
     spec.instruments = {"wait-trace", "utilization"};
     spec.sample.cap = 4096;
@@ -102,7 +101,6 @@ std::vector<RunSpec> representative_specs() {
     spec.workload =
         wl::WorkloadSource::from_archive(wl::Archive::kCTC,
                                          std::int64_t{3'000'000'000});
-    spec.stream = true;
     specs.push_back(spec);
   }
   return specs;
@@ -199,6 +197,23 @@ TEST(SpecIoTest, EqualSpecsShareTheKey) {
   d = c;
   d.size_scale = 1.4;
   EXPECT_NE(c.key(), d.key());
+}
+
+TEST(SpecIoTest, LegacyStreamKeyIsAcceptedAndIgnored) {
+  // Every run streams, so `stream` no longer selects anything: saved specs
+  // carrying it still parse, and it never splits the key (dedup and the
+  // result cache) or reappears in a serialized spec.
+  const std::string text = RunSpec{}.to_config().to_string();
+  const RunSpec legacy =
+      RunSpec::parse(util::Config::parse(text + "stream = true\n"));
+  EXPECT_EQ(legacy.key(), RunSpec{}.key());
+  EXPECT_EQ(legacy, RunSpec{});
+
+  RunSpec assigned;
+  assigned.stream = true;
+  EXPECT_EQ(assigned.key(), RunSpec{}.key());
+  EXPECT_EQ(assigned.to_config().to_string().find("stream"),
+            std::string::npos);
 }
 
 TEST(SpecIoTest, MalformedPerJobBetaRejected) {

@@ -119,7 +119,8 @@ TEST(WaitQueueTraceTest, TracksPerJobWaitsAndQueueDepth) {
       workload(2, {job(1, 0, 700, 700, 2), job(2, 0, 700, 700, 2)});
   const auto policy =
       core::make_policy(core::BasePolicy::kEasy, std::nullopt, "FirstFit");
-  Simulation simulation(load, *policy, models.power, models.time);
+  wl::VectorJobStream stream(load);
+  Simulation simulation(stream, *policy, models.power, models.time);
   WaitQueueTrace trace;
   simulation.add_observer(trace);
   (void)simulation.run();
@@ -155,7 +156,8 @@ TEST(UtilizationTraceTest, PiecewiseBusyCoresAndPower) {
       workload(4, {job(1, 0, 100, 120, 3), job(2, 0, 200, 220, 1)});
   const auto policy =
       core::make_policy(core::BasePolicy::kEasy, std::nullopt, "FirstFit");
-  Simulation simulation(load, *policy, models.power, models.time);
+  wl::VectorJobStream stream(load);
+  Simulation simulation(stream, *policy, models.power, models.time);
   UtilizationTrace trace(models.power);
   simulation.add_observer(trace);
   (void)simulation.run();

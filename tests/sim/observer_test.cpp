@@ -84,7 +84,8 @@ TEST_F(ObserverTest, HooksFireInEventOrderWithFullPayloads) {
       workload(2, {job(1, 0, 100, 120, 2), job(2, 10, 50, 60, 2)});
   const auto policy =
       core::make_policy(core::BasePolicy::kEasy, std::nullopt, "FirstFit");
-  Simulation simulation(load, *policy, models_.power, models_.time);
+  wl::VectorJobStream stream(load);
+  Simulation simulation(stream, *policy, models_.power, models_.time);
   RecordingObserver observer;
   simulation.add_observer(observer);
   const SimulationResult result = simulation.run();
@@ -123,7 +124,8 @@ TEST_F(ObserverTest, BoostSegmentsReportedThroughOnGearChange) {
 
   const wl::Workload load =
       workload(4, {job(1, 0, 1000, 1200, 4), job(2, 500, 100, 150, 4)});
-  Simulation simulation(load, *policy, models_.power, models_.time);
+  wl::VectorJobStream stream(load);
+  Simulation simulation(stream, *policy, models_.power, models_.time);
   RecordingObserver observer;
   simulation.add_observer(observer);
   const SimulationResult result = simulation.run();
@@ -178,7 +180,8 @@ TEST_F(ObserverTest, AddObserverAfterRunThrows) {
   const wl::Workload load = workload(2, {job(1, 0, 10, 20, 1)});
   const auto policy =
       core::make_policy(core::BasePolicy::kEasy, std::nullopt, "FirstFit");
-  Simulation simulation(load, *policy, models_.power, models_.time);
+  wl::VectorJobStream stream(load);
+  Simulation simulation(stream, *policy, models_.power, models_.time);
   (void)simulation.run();
   RecordingObserver observer;
   EXPECT_THROW(simulation.add_observer(observer), Error);
@@ -195,7 +198,8 @@ TEST_F(ObserverTest, ObserversSeeIdenticalStreamsAcrossIdenticalRuns) {
   for (RecordingObserver* observer : {&first, &second}) {
     const auto policy =
         core::make_policy(core::BasePolicy::kEasy, std::nullopt, "FirstFit");
-    Simulation simulation(load, *policy, models_.power, models_.time);
+    wl::VectorJobStream stream(load);
+    Simulation simulation(stream, *policy, models_.power, models_.time);
     simulation.add_observer(*observer);
     (void)simulation.run();
   }

@@ -141,7 +141,8 @@ TEST_F(SimulationTest, RunIsSingleShot) {
   const wl::Workload load = workload(2, {job(1, 0, 10, 20, 1)});
   const auto policy =
       core::make_policy(core::BasePolicy::kEasy, std::nullopt, "FirstFit");
-  Simulation simulation(load, *policy, models_.power, models_.time);
+  wl::VectorJobStream stream(load);
+  Simulation simulation(stream, *policy, models_.power, models_.time);
   (void)simulation.run();
   EXPECT_THROW((void)simulation.run(), Error);
 }
@@ -152,7 +153,8 @@ TEST_F(SimulationTest, MismatchedGearSetsRejected) {
       core::make_policy(core::BasePolicy::kEasy, std::nullopt, "FirstFit");
   const cluster::GearSet other({{1.0, 1.0}, {2.0, 1.2}});
   const power::BetaTimeModel other_time(other, 0.5);
-  EXPECT_THROW(Simulation(load, *policy, models_.power, other_time), Error);
+  wl::VectorJobStream stream(load);
+  EXPECT_THROW(Simulation(stream, *policy, models_.power, other_time), Error);
 }
 
 TEST_F(SimulationTest, EventCountIsTwoPerJob) {
@@ -182,58 +184,98 @@ TEST_F(SimulationTest, ArenaRecyclesEngineStorageAcrossRuns) {
   EXPECT_DOUBLE_EQ(third.avg_bsld, first.avg_bsld);
 }
 
-TEST_F(SimulationTest, StreamingRunMatchesMaterializedAtEveryLookahead) {
-  // A sorted trace driven through the bounded-lookahead streaming ctor
-  // must pop the exact event sequence of the materialized run, down to a
-  // window of a single outstanding submit.
+TEST_F(SimulationTest, ResultsAreIndependentOfTheLookahead) {
+  // The pump's bounded window must pop the exact event sequence at every
+  // lookahead, down to a single outstanding submit. The schedule is pinned
+  // to the one the simulator produced when it still admitted the whole
+  // trace up front: job 4 starts beside job 3 once job 2 ends.
   const wl::Workload load = workload(
       4, {job(1, 0, 1000, 1200, 4), job(2, 10, 500, 600, 4),
           job(3, 20, 100, 150, 1), job(4, 1200, 50, 80, 2)});
-  const auto materialized = testing::run(load, models_);
+  struct Pinned {
+    JobId id;
+    Time start;
+    Time end;
+  };
+  const std::vector<Pinned> pinned{
+      {1, 0, 1000}, {2, 1000, 1500}, {3, 1500, 1600}, {4, 1500, 1550}};
 
-  for (const std::int64_t lookahead : {1, 2, 3, 100}) {
-    const auto policy =
-        core::make_policy(core::BasePolicy::kEasy, std::nullopt, "FirstFit");
-    wl::WorkloadViewStream stream(load);
+  for (const std::int64_t lookahead : {1, 2, 3, 100, 4096}) {
     SimulationConfig config;
     config.submit_lookahead = lookahead;
-    const auto streamed = run_simulation(stream, *policy, models_.power,
-                                         models_.time, config);
-    EXPECT_EQ(streamed.events_processed, materialized.events_processed);
-    EXPECT_EQ(streamed.avg_bsld, materialized.avg_bsld) << lookahead;
-    EXPECT_EQ(streamed.makespan, materialized.makespan);
-    ASSERT_EQ(streamed.jobs.size(), materialized.jobs.size());
-    for (std::size_t i = 0; i < materialized.jobs.size(); ++i) {
-      EXPECT_EQ(streamed.jobs[i].start, materialized.jobs[i].start);
-      EXPECT_EQ(streamed.jobs[i].end, materialized.jobs[i].end);
-      EXPECT_EQ(streamed.jobs[i].gear, materialized.jobs[i].gear);
+    const auto result =
+        testing::run(load, models_, core::BasePolicy::kEasy, std::nullopt,
+                     "FirstFit", config);
+    EXPECT_EQ(result.events_processed, 8u) << lookahead;
+    EXPECT_EQ(result.avg_bsld, 1.7791666666666668) << lookahead;
+    EXPECT_EQ(result.makespan, 1600) << lookahead;
+    ASSERT_EQ(result.jobs.size(), pinned.size());
+    for (std::size_t i = 0; i < pinned.size(); ++i) {
+      EXPECT_EQ(result.jobs[i].id, pinned[i].id);
+      EXPECT_EQ(result.jobs[i].start, pinned[i].start) << lookahead;
+      EXPECT_EQ(result.jobs[i].end, pinned[i].end) << lookahead;
+      EXPECT_EQ(result.jobs[i].gear, models_.gears.top_index());
     }
   }
 }
 
 TEST_F(SimulationTest, StreamingRunReportsWindowBoundedPeak) {
-  // 300 one-at-a-time jobs: the materialized path admits the whole trace
-  // up front (peak == job count); the streaming window holds at most the
-  // lookahead plus the finished jobs awaiting the next batched-delivery
-  // flush (eviction runs after each 128-record flush), far below 300.
+  // 300 one-at-a-time jobs: the window stays far below the trace length.
   std::vector<wl::Job> jobs;
   for (int i = 0; i < 300; ++i) {
     jobs.push_back(job(i + 1, i * 100, 50, 60, 4));
   }
   const wl::Workload load = workload(4, std::move(jobs));
-  const auto materialized = testing::run(load, models_);
-  EXPECT_EQ(materialized.peak_live_jobs, 300);
+  for (const std::int64_t lookahead : {2, 64}) {
+    SimulationConfig config;
+    config.submit_lookahead = lookahead;
+    const auto result =
+        testing::run(load, models_, core::BasePolicy::kEasy, std::nullopt,
+                     "FirstFit", config);
+    EXPECT_EQ(result.job_count, 300);
+    EXPECT_EQ(result.avg_bsld, 1.0);
+    EXPECT_EQ(result.makespan, 29950);
+    // Resident: the lookahead's unsubmitted jobs, the one running job, and
+    // the finished jobs awaiting the next 128-record flush (each job
+    // pushes three records: submit, start, finish).
+    EXPECT_GT(result.peak_live_jobs, 0);
+    EXPECT_LE(result.peak_live_jobs, lookahead + 1 + 128 / 3) << lookahead;
+  }
+}
 
-  const auto policy =
-      core::make_policy(core::BasePolicy::kEasy, std::nullopt, "FirstFit");
-  wl::WorkloadViewStream stream(load);
+/// Emits a full observer batch from inside every start decision, the way a
+/// cap manager re-gearing many running jobs does.
+class BatchFillingManager final : public pm::PowerManager {
+ public:
+  [[nodiscard]] const char* name() const override { return "batch-filler"; }
+  [[nodiscard]] pm::StartDecision on_job_start(
+      pm::PmContext& context, JobId id, const std::vector<CpuId>& cpus,
+      GearIndex gear) override {
+    (void)cpus;
+    for (int i = 0; i < 200; ++i) {
+      pm::PmEvent event;
+      event.kind = pm::PmEventKind::kThrottle;
+      event.time = context.now();
+      event.job = id;
+      context.emit(event);
+    }
+    return pm::StartDecision{false, gear, 0};
+  }
+};
+
+TEST_F(SimulationTest, JobStartingWhileItsBatchFlushesIsNotEvicted) {
+  // The manager's events flush the batch while the job is being started;
+  // the flush's eviction sweep must not retire the half-started job.
+  BatchFillingManager manager;
   SimulationConfig config;
-  config.submit_lookahead = 2;
-  const auto streamed =
-      run_simulation(stream, *policy, models_.power, models_.time, config);
-  EXPECT_EQ(streamed.avg_bsld, materialized.avg_bsld);
-  EXPECT_GT(streamed.peak_live_jobs, 0);
-  EXPECT_LE(streamed.peak_live_jobs, 64);  // flush-cadence bound, not 300.
+  config.power_manager = &manager;
+  const auto result =
+      testing::run(workload(4, {job(1, 0, 100, 200, 2)}), models_,
+                   core::BasePolicy::kEasy, std::nullopt, "FirstFit", config);
+  ASSERT_EQ(result.jobs.size(), 1u);
+  EXPECT_EQ(result.jobs[0].start, 0);
+  EXPECT_EQ(result.jobs[0].end, 100);
+  EXPECT_EQ(result.makespan, 100);
 }
 
 TEST_F(SimulationTest, StreamingRejectsUnsortedStreams) {
@@ -243,7 +285,7 @@ TEST_F(SimulationTest, StreamingRejectsUnsortedStreams) {
       workload(4, {job(2, 100, 10, 20, 1), job(1, 0, 10, 20, 1)});
   const auto policy =
       core::make_policy(core::BasePolicy::kEasy, std::nullopt, "FirstFit");
-  wl::WorkloadViewStream stream(unsorted);
+  wl::VectorJobStream stream(unsorted);
   SimulationConfig config;
   config.submit_lookahead = 1;
   EXPECT_THROW((void)run_simulation(stream, *policy, models_.power,

@@ -16,6 +16,7 @@
 #include "sim/simulation.hpp"
 #include "util/error.hpp"
 #include "workload/job.hpp"
+#include "workload/stream.hpp"
 
 namespace bsld::testing {
 
@@ -47,6 +48,14 @@ struct Models {
   power::BetaTimeModel time{gears, 0.5};
 };
 
+/// `load` stable-sorted by submit and replayed as a stream — how every
+/// hand-built trace enters the simulation (report::run_workload does the
+/// same).
+inline wl::VectorJobStream stream_of(wl::Workload load) {
+  wl::sort_by_submit(load);
+  return wl::VectorJobStream(std::move(load));
+}
+
 /// Runs `workload` through a freshly-built policy and returns the result.
 inline sim::SimulationResult run(
     const wl::Workload& load, const Models& models,
@@ -55,7 +64,9 @@ inline sim::SimulationResult run(
     const std::string& selector = "FirstFit",
     sim::SimulationConfig config = {}) {
   const auto policy = core::make_policy(base, dvfs, selector);
-  return sim::run_simulation(load, *policy, models.power, models.time, config);
+  wl::VectorJobStream stream = stream_of(load);
+  return sim::run_simulation(stream, *policy, models.power, models.time,
+                             config);
 }
 
 /// Minimal SchedulerContext: a machine snapshot, a job table, and a fixed
