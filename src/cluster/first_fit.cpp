@@ -1,98 +1,73 @@
 #include "cluster/first_fit.hpp"
 
+#include <bit>
+
 #include "util/error.hpp"
 
 namespace bsld::cluster {
 
 namespace {
 
-/// Shared scan in a caller-chosen CPU order.
-template <typename CpuRange>
-std::vector<CpuId> scan_select_at(const Machine& machine, std::int32_t size,
-                                  Time start, Time now, CpuRange cpu_order) {
-  std::vector<CpuId> out;
-  out.reserve(static_cast<std::size_t>(size));
-  for (CpuId cpu : cpu_order) {
-    if (machine.avail_time(cpu, now) <= start) {
-      out.push_back(cpu);
-      if (static_cast<std::int32_t>(out.size()) == size) return out;
+/// Replaces `out` with the first `size` set bits of the bitset whose word w
+/// is `word(w)`, lowest index first when kAscending, highest first
+/// otherwise. True when `size` bits were found.
+template <bool kAscending, typename WordFn>
+bool take_bits(std::size_t words, std::int32_t size, WordFn word,
+               std::vector<CpuId>& out) {
+  out.clear();
+  const auto need = static_cast<std::size_t>(size);
+  for (std::size_t i = 0; i < words; ++i) {
+    const std::size_t w = kAscending ? i : words - 1 - i;
+    for (std::uint64_t bits = word(w); bits != 0;) {
+      const int bit = kAscending ? std::countr_zero(bits)
+                                 : Machine::kWordBits - 1 - std::countl_zero(bits);
+      bits &= ~(std::uint64_t{1} << bit);
+      out.push_back(static_cast<CpuId>(w * Machine::kWordBits) + bit);
+      if (out.size() == need) return true;
     }
   }
-  throw Error("ResourceSelector: not enough CPUs available at start time");
+  return false;
 }
-
-template <typename CpuRange>
-std::optional<std::vector<CpuId>> scan_select_backfill(
-    const Machine& machine, std::int32_t size, Time now, Time expected_end,
-    const Reservation* reservation, CpuRange cpu_order) {
-  const bool respects_shadow =
-      reservation == nullptr || !reservation->active() ||
-      expected_end <= reservation->start;
-  std::vector<CpuId> out;
-  out.reserve(static_cast<std::size_t>(size));
-  for (CpuId cpu : cpu_order) {
-    if (!machine.is_free(cpu)) continue;
-    if (!respects_shadow && reservation->contains(cpu)) continue;
-    out.push_back(cpu);
-    if (static_cast<std::int32_t>(out.size()) == size) return out;
-  }
-  (void)now;
-  return std::nullopt;
-}
-
-struct Ascending {
-  std::int32_t count;
-  struct iterator {
-    CpuId value;
-    CpuId operator*() const { return value; }
-    iterator& operator++() { ++value; return *this; }
-    bool operator!=(const iterator& other) const { return value != other.value; }
-  };
-  [[nodiscard]] iterator begin() const { return {0}; }
-  [[nodiscard]] iterator end() const { return {count}; }
-};
-
-struct Descending {
-  std::int32_t count;
-  struct iterator {
-    CpuId value;
-    CpuId operator*() const { return value; }
-    iterator& operator++() { --value; return *this; }
-    bool operator!=(const iterator& other) const { return value != other.value; }
-  };
-  [[nodiscard]] iterator begin() const { return {count - 1}; }
-  [[nodiscard]] iterator end() const { return {-1}; }
-};
 
 }  // namespace
 
-std::vector<CpuId> FirstFit::select_at(const Machine& machine,
-                                       std::int32_t size, Time start,
-                                       Time now) const {
-  return scan_select_at(machine, size, start, now,
-                        Ascending{machine.cpu_count()});
+template <bool kAscending>
+void Fit<kAscending>::select_at(const Machine& machine, std::int32_t size,
+                                Time start, Time now,
+                                std::vector<CpuId>& out) const {
+  const std::vector<std::uint64_t>& available =
+      machine.available_words(start, now);
+  if (!take_bits<kAscending>(
+          available.size(), size,
+          [&](std::size_t w) { return available[w]; }, out)) {
+    throw Error("ResourceSelector: not enough CPUs available at start time");
+  }
 }
 
-std::optional<std::vector<CpuId>> FirstFit::select_backfill(
-    const Machine& machine, std::int32_t size, Time now, Time expected_end,
-    const Reservation* reservation) const {
-  return scan_select_backfill(machine, size, now, expected_end, reservation,
-                              Ascending{machine.cpu_count()});
+template <bool kAscending>
+bool Fit<kAscending>::select_backfill(const Machine& machine,
+                                      std::int32_t size, Time expected_end,
+                                      const Reservation* reservation,
+                                      std::vector<CpuId>& out) const {
+  const std::vector<std::uint64_t>& free = machine.free_words();
+  const bool respects_shadow =
+      reservation == nullptr || !reservation->active() ||
+      expected_end <= reservation->start;
+  if (respects_shadow) {
+    return take_bits<kAscending>(
+        free.size(), size, [&](std::size_t w) { return free[w]; }, out);
+  }
+  const std::vector<std::uint64_t>& reserved = reservation->mask;
+  return take_bits<kAscending>(
+      free.size(), size,
+      [&](std::size_t w) {
+        return free[w] & ~(w < reserved.size() ? reserved[w] : 0);
+      },
+      out);
 }
 
-std::vector<CpuId> LastFit::select_at(const Machine& machine,
-                                      std::int32_t size, Time start,
-                                      Time now) const {
-  return scan_select_at(machine, size, start, now,
-                        Descending{machine.cpu_count()});
-}
-
-std::optional<std::vector<CpuId>> LastFit::select_backfill(
-    const Machine& machine, std::int32_t size, Time now, Time expected_end,
-    const Reservation* reservation) const {
-  return scan_select_backfill(machine, size, now, expected_end, reservation,
-                              Descending{machine.cpu_count()});
-}
+template class Fit<true>;
+template class Fit<false>;
 
 std::unique_ptr<ResourceSelector> make_selector(const std::string& name) {
   if (name == "FirstFit") return std::make_unique<FirstFit>();

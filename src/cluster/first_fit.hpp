@@ -4,10 +4,15 @@
 /// satisfy the allocation constraints. The interface keeps selection
 /// pluggable, mirroring Alvio's scheduling-policy / resource-selection
 /// split.
+///
+/// Both selectors walk the machine's CPU bitsets a word at a time, so a
+/// selection costs O(size + cpus / 64) (plus, for a future start, the CPUs
+/// of the jobs expected to end by then) and never allocates once the
+/// caller's output vector has grown.
 #pragma once
 
 #include <memory>
-#include <optional>
+#include <string>
 #include <vector>
 
 #include "cluster/allocation.hpp"
@@ -20,50 +25,48 @@ class ResourceSelector {
  public:
   virtual ~ResourceSelector() = default;
 
-  /// Selects `size` CPUs all available by `start` (per Machine::avail_time
-  /// at `now`). Called by findAllocation once the start time is known.
-  /// Throws bsld::Error when fewer than `size` CPUs qualify.
-  [[nodiscard]] virtual std::vector<CpuId> select_at(
-      const Machine& machine, std::int32_t size, Time start, Time now) const = 0;
+  /// Replaces `out` with `size` CPUs all available by `start` (>= now; per
+  /// Machine::available_words). Called by findAllocation once the start
+  /// time is known. Throws bsld::Error when fewer than `size` CPUs qualify.
+  virtual void select_at(const Machine& machine, std::int32_t size,
+                         Time start, Time now,
+                         std::vector<CpuId>& out) const = 0;
 
-  /// Backfill selection: `size` CPUs that are free *now* and whose use
-  /// until `expected_end` cannot delay `reservation` (a CPU inside the
-  /// reservation may only be used when expected_end <= reservation->start).
-  /// Returns nullopt when impossible. `reservation` may be null.
-  [[nodiscard]] virtual std::optional<std::vector<CpuId>> select_backfill(
-      const Machine& machine, std::int32_t size, Time now, Time expected_end,
-      const Reservation* reservation) const = 0;
+  /// Backfill selection: replaces `out` with `size` CPUs that are free
+  /// *now* and whose use until `expected_end` cannot delay `reservation` (a
+  /// CPU inside the reservation may only be used when expected_end <=
+  /// reservation->start). Returns false, leaving `out` short, when
+  /// impossible. `reservation` may be null.
+  [[nodiscard]] virtual bool select_backfill(
+      const Machine& machine, std::int32_t size, Time expected_end,
+      const Reservation* reservation, std::vector<CpuId>& out) const = 0;
 
   /// Human-readable policy name.
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// First Fit: lowest-indexed qualifying CPUs.
-class FirstFit final : public ResourceSelector {
+/// First Fit (kAscending: the lowest-indexed qualifying CPUs, ascending)
+/// or Last Fit (the highest-indexed, descending). Last Fit is functionally
+/// equivalent under count-based feasibility; it exists to demonstrate the
+/// selector seam and as a control in tests (schedule metrics must not
+/// depend on the selector for identical feasibility decisions).
+template <bool kAscending>
+class Fit final : public ResourceSelector {
  public:
-  [[nodiscard]] std::vector<CpuId> select_at(const Machine& machine,
-                                             std::int32_t size, Time start,
-                                             Time now) const override;
-  [[nodiscard]] std::optional<std::vector<CpuId>> select_backfill(
-      const Machine& machine, std::int32_t size, Time now, Time expected_end,
-      const Reservation* reservation) const override;
-  [[nodiscard]] std::string name() const override { return "FirstFit"; }
+  void select_at(const Machine& machine, std::int32_t size, Time start,
+                 Time now, std::vector<CpuId>& out) const override;
+  [[nodiscard]] bool select_backfill(const Machine& machine,
+                                     std::int32_t size, Time expected_end,
+                                     const Reservation* reservation,
+                                     std::vector<CpuId>& out) const override;
+  [[nodiscard]] std::string name() const override {
+    return kAscending ? "FirstFit" : "LastFit";
+  }
 };
-
-/// Last Fit: highest-indexed qualifying CPUs. Functionally equivalent under
-/// count-based feasibility; exists to demonstrate the selector seam and as
-/// a control in tests (schedule metrics must not depend on the selector for
-/// identical feasibility decisions).
-class LastFit final : public ResourceSelector {
- public:
-  [[nodiscard]] std::vector<CpuId> select_at(const Machine& machine,
-                                             std::int32_t size, Time start,
-                                             Time now) const override;
-  [[nodiscard]] std::optional<std::vector<CpuId>> select_backfill(
-      const Machine& machine, std::int32_t size, Time now, Time expected_end,
-      const Reservation* reservation) const override;
-  [[nodiscard]] std::string name() const override { return "LastFit"; }
-};
+extern template class Fit<true>;
+extern template class Fit<false>;
+using FirstFit = Fit<true>;
+using LastFit = Fit<false>;
 
 /// Builds a selector by name ("FirstFit", "LastFit"); throws on unknown.
 std::unique_ptr<ResourceSelector> make_selector(const std::string& name);

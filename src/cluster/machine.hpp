@@ -1,21 +1,25 @@
 /// \file machine.hpp
-/// \brief The simulated DVFS-enabled cluster: per-CPU occupancy and the
+/// \brief The simulated DVFS-enabled cluster: CPU occupancy and the
 /// availability profile that backfilling's findAllocation queries.
 ///
-/// Each CPU runs at most one process (rigid jobs, one process per CPU). A
-/// busy CPU advertises the time its job is *expected* to end — start +
-/// requested time scaled by the job's gear — because that is all EASY
-/// backfilling may assume; actual completions trigger rescheduling. Since
-/// only running jobs hold CPUs (EASY keeps a single reservation, handled by
-/// the scheduler), free capacity is non-decreasing in time, which makes
-/// `earliest_start` a selection (k-th smallest availability time) rather
-/// than a search.
+/// Each CPU runs at most one process (rigid jobs). A running job advertises
+/// its *expected* end — start + requested time scaled by its gear — because
+/// that is all EASY backfilling may assume. A CPU is available at `now` when
+/// free, otherwise at max(expected end, now + 1): the clamp keeps overrunning
+/// jobs from looking free before their real completion. Only running jobs
+/// hold CPUs, so free capacity is non-decreasing in time and
+/// `earliest_start` is a selection (k-th smallest availability time).
+///
+/// No query scans all CPUs: assign / release / re-time keep, in O(job size +
+/// running jobs) and without allocating once grown, a free-CPU bitset (bit
+/// c % 64 of word c / 64 set iff CPU c is free), the running jobs sorted by
+/// (expected end, job) with cumulative CPU counts, and a per-CPU "next CPU
+/// of the same job" chain.
 #pragma once
 
-#include <algorithm>
+#include <cstdint>
 #include <vector>
 
-#include "cluster/gears.hpp"
 #include "util/error.hpp"
 #include "util/types.hpp"
 
@@ -24,76 +28,86 @@ namespace bsld::cluster {
 /// Mutable cluster state.
 class Machine {
  public:
+  /// One running job in the end index.
+  struct Running {
+    Time expected_end = 0;
+    JobId job = kNoJob;
+    CpuId first_cpu = 0;            ///< Head of the job's CPU chain.
+    std::int32_t cpus = 0;          ///< CPUs the job holds.
+    std::int32_t cpus_before = 0;   ///< CPUs held by the entries before it.
+  };
+
+  /// Bits per word of the CPU bitsets.
+  static constexpr std::int32_t kWordBits = 64;
+
   /// A machine with `cpu_count` identical DVFS-enabled processors.
   explicit Machine(std::int32_t cpu_count);
 
-  [[nodiscard]] std::int32_t cpu_count() const {
-    return static_cast<std::int32_t>(jobs_.size());
-  }
-
-  /// Job currently on `cpu`, or kNoJob. Defined inline: the backfill
-  /// selectors probe every CPU per candidate, so these must not cost a
-  /// cross-TU call.
-  [[nodiscard]] JobId running_job(CpuId cpu) const {
-    check_cpu(cpu);
-    return jobs_[static_cast<std::size_t>(cpu)];
-  }
-  [[nodiscard]] bool is_free(CpuId cpu) const {
-    return running_job(cpu) == kNoJob;
-  }
+  [[nodiscard]] std::int32_t cpu_count() const { return cpu_count_; }
 
   /// Number of CPUs free right now (O(1)).
   [[nodiscard]] std::int32_t free_now() const { return free_now_; }
 
-  /// Time at which `cpu` is expected to be available, from the viewpoint of
-  /// `now`: `now` when free, otherwise max(expected end, now + 1) — the
-  /// clamp keeps overrunning jobs (actual > requested time) from appearing
-  /// free before their real completion event.
-  [[nodiscard]] Time avail_time(CpuId cpu, Time now) const {
-    check_cpu(cpu);
+  /// True when `cpu` runs no job. Throws bsld::Error when out of range.
+  [[nodiscard]] bool is_free(CpuId cpu) const {
+    BSLD_REQUIRE(cpu >= 0 && cpu < cpu_count_, "Machine: cpu out of range");
     const auto index = static_cast<std::size_t>(cpu);
-    if (jobs_[index] == kNoJob) return now;
-    return std::max(expected_end_[index], now + 1);
+    return ((free_[index / kWordBits] >> (index % kWordBits)) & 1) != 0;
   }
 
   /// Earliest time at which `size` CPUs are simultaneously available
-  /// (>= now). Throws bsld::Error when size exceeds the machine. O(P).
+  /// (>= now). Throws bsld::Error when size exceeds the machine.
+  /// O(log running jobs).
   [[nodiscard]] Time earliest_start(std::int32_t size, Time now) const;
 
-  /// Number of CPUs available by time `t` (avail_time <= t). O(P).
-  [[nodiscard]] std::int32_t available_by(Time t, Time now) const;
+  /// Running jobs sorted by (expected end, job).
+  [[nodiscard]] const std::vector<Running>& by_end() const { return by_end_; }
 
-  /// Marks `cpus` busy with `job` until `expected_end`. Throws bsld::Error
-  /// when any CPU is already busy.
+  /// The free-CPU bitset.
+  [[nodiscard]] const std::vector<std::uint64_t>& free_words() const {
+    return free_;
+  }
+
+  /// Bitset of the CPUs available by `start` (>= now): the free ones plus
+  /// those of jobs whose clamped expected end is <= start. Returns
+  /// free_words() when no job ends by then; otherwise a scratch bitset
+  /// valid until the next call. O(cpus / 64 + CPUs of those jobs).
+  [[nodiscard]] const std::vector<std::uint64_t>& available_words(
+      Time start, Time now) const;
+
+  /// Appends the CPUs of `job` to `out` in assign order. Throws bsld::Error
+  /// when `first_cpu` is not the first CPU of `job`.
+  void held_cpus(JobId job, CpuId first_cpu, std::vector<CpuId>& out) const;
+
+  /// Marks `cpus` busy with `job` until `expected_end`; cpus[0] becomes the
+  /// job's first CPU. Throws bsld::Error when any CPU is already busy or
+  /// the job is already running.
   void assign(JobId job, const std::vector<CpuId>& cpus, Time expected_end);
 
-  /// Frees the given CPUs. Throws bsld::Error when a CPU is not running
-  /// `job`.
-  void release(JobId job, const std::vector<CpuId>& cpus);
+  /// Frees every CPU of `job`. Throws bsld::Error when `first_cpu` is not
+  /// the first CPU of `job`.
+  void release(JobId job, CpuId first_cpu);
 
-  /// Re-times a running job's expected end on the given CPUs (used when a
-  /// job's frequency is raised mid-flight). Throws bsld::Error when a CPU
-  /// is not running `job`.
-  void update_expected_end(JobId job, const std::vector<CpuId>& cpus,
-                           Time expected_end);
-
-  /// Busy CPU count right now.
-  [[nodiscard]] std::int32_t busy_now() const {
-    return cpu_count() - free_now_;
-  }
+  /// Re-times a running job's expected end (a mid-flight gear change).
+  /// Throws bsld::Error when `first_cpu` is not the first CPU of `job`.
+  void update_expected_end(JobId job, CpuId first_cpu, Time expected_end);
 
  private:
-  void check_cpu(CpuId cpu) const {
-    BSLD_REQUIRE(cpu >= 0 && cpu < cpu_count(), "Machine: cpu out of range");
-  }
+  /// Index of `job` in by_end_; throws unless its first CPU is `first_cpu`.
+  [[nodiscard]] std::size_t find(JobId job, CpuId first_cpu) const;
+  /// Inserts `entry` at its (expected end, job) position and returns it.
+  std::size_t insert(const Running& entry);
+  /// Recomputes cpus_before from `from` to the end.
+  void reindex(std::size_t from);
 
-  std::vector<JobId> jobs_;          ///< kNoJob when free.
-  std::vector<Time> expected_end_;   ///< Valid only for busy CPUs.
-  /// earliest_start() selection scratch, reused across calls so the hot
-  /// query never allocates. Confined to const members on one thread (the
-  /// machine belongs to one simulation); not a logical state change.
-  mutable std::vector<Time> scratch_;
-  std::int32_t free_now_ = 0;
+  std::int32_t cpu_count_;
+  std::int32_t free_now_;
+  std::vector<std::uint64_t> free_;  ///< Bit set = CPU free.
+  std::vector<Running> by_end_;
+  std::vector<CpuId> next_;          ///< Next CPU of the same job, or -1.
+  /// available_words() result for a future start, reused so the query
+  /// never allocates; not a logical state change.
+  mutable std::vector<std::uint64_t> scratch_;
 };
 
 }  // namespace bsld::cluster

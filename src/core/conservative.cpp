@@ -1,5 +1,6 @@
 #include "core/conservative.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -44,11 +45,8 @@ void ConservativeBackfilling::schedule_pass(SchedulerContext& ctx) {
   // earlier, preserving conservative semantics.
   while (true) {
     cluster::AvailabilityProfile profile(machine.cpu_count(), now);
-    for (CpuId cpu = 0; cpu < machine.cpu_count(); ++cpu) {
-      if (!machine.is_free(cpu)) {
-        const Time end = machine.avail_time(cpu, now);
-        profile.reserve(now, end, 1);
-      }
+    for (const cluster::Machine::Running& held : machine.by_end()) {
+      profile.reserve(now, std::max(held.expected_end, now + 1), held.cpus);
     }
 
     JobId to_start = kNoJob;
@@ -78,10 +76,9 @@ void ConservativeBackfilling::schedule_pass(SchedulerContext& ctx) {
 
     if (to_start == kNoJob) return;
     const wl::Job& job = ctx.job(to_start);
-    const std::vector<CpuId> cpus =
-        selector_->select_at(machine, job.size, now, now);
+    selector_->select_at(machine, job.size, now, now, cpus_);
     queue_.remove(to_start);
-    ctx.start_job(to_start, cpus, start_gear);
+    ctx.start_job(to_start, cpus_, start_gear);
   }
 }
 

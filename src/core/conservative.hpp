@@ -12,6 +12,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "cluster/first_fit.hpp"
 #include "core/frequency.hpp"
@@ -41,6 +42,7 @@ class ConservativeBackfilling final : public SchedulingPolicy {
   std::unique_ptr<cluster::ResourceSelector> selector_;
   std::unique_ptr<FrequencyAssigner> assigner_;
   WaitQueue queue_;
+  std::vector<CpuId> cpus_;  ///< Selection buffer for every start.
 };
 
 }  // namespace bsld::core

@@ -1,5 +1,7 @@
 #include "core/easy.hpp"
 
+#include <bit>
+#include <iterator>
 #include <sstream>
 #include <vector>
 
@@ -53,7 +55,7 @@ void EasyBackfilling::on_job_end(SchedulerContext& ctx, JobId id) {
   // completion (an exact-time completion is the boundary case of that rule
   // and needs the same pass to start the jobs the completion unblocks).
   if (queue_.empty()) {
-    reservation_ = cluster::Reservation{};
+    reservation_.clear();
     return;
   }
   if (schedule_heads(ctx)) backfill_scan(ctx);
@@ -63,14 +65,13 @@ void EasyBackfilling::start_head(SchedulerContext& ctx, JobId id) {
   const wl::Job& job = ctx.job(id);
   const GearIndex gear = assigner_->reservation_gear(
       ctx, job, ctx.now(), wq_size_excluding(id));
-  const std::vector<CpuId> cpus =
-      selector_->select_at(ctx.machine(), job.size, ctx.now(), ctx.now());
+  selector_->select_at(ctx.machine(), job.size, ctx.now(), ctx.now(), cpus_);
   queue_.pop_head();
-  ctx.start_job(id, cpus, gear);
+  ctx.start_job(id, cpus_, gear);
 }
 
 bool EasyBackfilling::schedule_heads(SchedulerContext& ctx) {
-  reservation_ = cluster::Reservation{};
+  reservation_.clear();
   const cluster::Machine& machine = ctx.machine();
   while (!queue_.empty()) {
     const JobId head = queue_.head();
@@ -89,16 +90,13 @@ bool EasyBackfilling::schedule_heads(SchedulerContext& ctx) {
     // (DESIGN.md §4 decision 4).
     reservation_.job = head;
     reservation_.start = start;
-    reservation_.cpus = selector_->select_at(machine, job.size, start, ctx.now());
-    reservation_.mask.assign(static_cast<std::size_t>(machine.cpu_count()), 0);
-    for (const CpuId cpu : reservation_.cpus) {
-      reservation_.mask[static_cast<std::size_t>(cpu)] = 1;
-    }
+    selector_->select_at(machine, job.size, start, ctx.now(),
+                         reservation_.cpus);
+    reservation_.mark(machine.cpu_count());
     free_outside_reservation_ = 0;
-    for (CpuId cpu = 0; cpu < machine.cpu_count(); ++cpu) {
-      if (machine.is_free(cpu) && !reservation_.contains(cpu)) {
-        ++free_outside_reservation_;
-      }
+    const std::vector<std::uint64_t>& free = machine.free_words();
+    for (std::size_t w = 0; w < free.size(); ++w) {
+      free_outside_reservation_ += std::popcount(free[w] & ~reservation_.mask[w]);
     }
     return true;
   }
@@ -108,17 +106,8 @@ bool EasyBackfilling::schedule_heads(SchedulerContext& ctx) {
 void EasyBackfilling::backfill_scan(SchedulerContext& ctx) {
   // Copy the candidate ids: backfilled jobs are removed from the queue
   // during the scan. FCFS order, head excluded (it owns the reservation).
-  std::vector<JobId> candidates;
-  candidates.reserve(queue_.size());
-  bool first = true;
-  for (const JobId id : queue_) {
-    if (first) {
-      first = false;
-      continue;
-    }
-    candidates.push_back(id);
-  }
-  for (const JobId id : candidates) try_backfill_one(ctx, id);
+  candidates_.assign(std::next(queue_.begin()), queue_.end());
+  for (const JobId id : candidates_) try_backfill_one(ctx, id);
 }
 
 bool EasyBackfilling::try_backfill_one(SchedulerContext& ctx, JobId id) {
@@ -142,17 +131,17 @@ bool EasyBackfilling::try_backfill_one(SchedulerContext& ctx, JobId id) {
   if (!gear) return false;
 
   const Time end = now + job_scaled_duration(ctx, job, job.requested_time, *gear);
-  const std::optional<std::vector<CpuId>> cpus = selector_->select_backfill(
-      machine, job.size, now, end, reservation_.active() ? &reservation_ : nullptr);
-  BSLD_REQUIRE(cpus.has_value(),
+  const bool selected = selector_->select_backfill(machine, job.size, end,
+                                                   reservation(), cpus_);
+  BSLD_REQUIRE(selected,
                "EasyBackfilling: selector disagreed with feasibility counters");
-  for (const CpuId cpu : *cpus) {
-    if (reservation_.active() && !reservation_.contains(cpu)) {
-      --free_outside_reservation_;
+  if (reservation_.active()) {
+    for (const CpuId cpu : cpus_) {
+      if (!reservation_.contains(cpu)) --free_outside_reservation_;
     }
   }
   queue_.remove(id);
-  ctx.start_job(id, *cpus, *gear);
+  ctx.start_job(id, cpus_, *gear);
   return true;
 }
 

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "cluster/first_fit.hpp"
 #include "core/frequency.hpp"
@@ -61,9 +62,12 @@ class EasyBackfilling final : public SchedulingPolicy {
   std::unique_ptr<cluster::ResourceSelector> selector_;
   std::unique_ptr<FrequencyAssigner> assigner_;
   WaitQueue queue_;
+  /// Reused across passes: clear() keeps the mask's storage.
   cluster::Reservation reservation_;
   /// Free CPUs outside the reserved set (maintained during backfill scans).
   std::int32_t free_outside_reservation_ = 0;
+  std::vector<CpuId> cpus_;          ///< Selection buffer for every start.
+  std::vector<JobId> candidates_;    ///< backfill_scan's queue snapshot.
 };
 
 }  // namespace bsld::core

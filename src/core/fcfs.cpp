@@ -33,10 +33,9 @@ void Fcfs::drain(SchedulerContext& ctx) {
     if (machine.free_now() < job.size) return;
     const GearIndex gear = assigner_->reservation_gear(
         ctx, job, ctx.now(), queue_.size() - 1);
-    const std::vector<CpuId> cpus =
-        selector_->select_at(machine, job.size, ctx.now(), ctx.now());
+    selector_->select_at(machine, job.size, ctx.now(), ctx.now(), cpus_);
     queue_.pop_head();
-    ctx.start_job(head, cpus, gear);
+    ctx.start_job(head, cpus_, gear);
   }
 }
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "cluster/first_fit.hpp"
 #include "core/frequency.hpp"
@@ -36,6 +37,7 @@ class Fcfs final : public SchedulingPolicy {
   std::unique_ptr<cluster::ResourceSelector> selector_;
   std::unique_ptr<FrequencyAssigner> assigner_;
   WaitQueue queue_;
+  std::vector<CpuId> cpus_;  ///< Selection buffer for every start.
 };
 
 }  // namespace bsld::core

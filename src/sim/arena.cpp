@@ -20,17 +20,6 @@ void RunArena::recycle_engine(Engine::Storage&& storage) {
   ++engine_recycles_;
 }
 
-std::vector<CpuId> RunArena::acquire_cpu_slab() {
-  std::vector<CpuId> out = std::move(cpu_slab_);
-  cpu_slab_ = {};
-  out.clear();
-  return out;
-}
-
-void RunArena::recycle_cpu_slab(std::vector<CpuId>&& slab) {
-  cpu_slab_ = std::move(slab);
-}
-
 JobWindow::Storage RunArena::acquire_job_window() {
   JobWindow::Storage out = std::move(job_window_);
   job_window_ = JobWindow::Storage{};

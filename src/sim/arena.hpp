@@ -3,7 +3,7 @@
 ///
 /// A parameter sweep runs thousands of simulations per worker thread, and
 /// each run used to re-grow the same large buffers from nothing: the
-/// engine's calendar-queue slab and the flat CPU-allocation slab. RunArena
+/// engine's calendar-queue slab and the job-window ring. RunArena
 /// keeps one drained copy of each per thread; Simulation acquires them in
 /// its constructor and recycles them in its destructor, so every run after
 /// the first starts warm and performs no large allocations on the hot
@@ -34,11 +34,6 @@ class RunArena {
   /// Returns drained engine storage to the pool for the next run.
   void recycle_engine(Engine::Storage&& storage);
 
-  /// Takes the pooled CPU-allocation slab (cleared, capacity retained).
-  [[nodiscard]] std::vector<CpuId> acquire_cpu_slab();
-  /// Returns a run's CPU slab to the pool.
-  void recycle_cpu_slab(std::vector<CpuId>&& slab);
-
   /// Takes the pooled job-window ring storage (capacity retained; the
   /// JobWindow constructor discards contents).
   [[nodiscard]] JobWindow::Storage acquire_job_window();
@@ -55,7 +50,6 @@ class RunArena {
 
  private:
   Engine::Storage engine_;
-  std::vector<CpuId> cpu_slab_;
   JobWindow::Storage job_window_;
   std::uint64_t engine_recycles_ = 0;
 };

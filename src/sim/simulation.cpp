@@ -37,8 +37,7 @@ Simulation::Simulation(wl::JobStream& stream, core::SchedulingPolicy& policy,
       lookahead_(std::max<std::int64_t>(1, config.submit_lookahead)),
       machine_(config.cpus > 0 ? config.cpus : stream.cpus()),
       engine_(RunArena::local().acquire_engine()),
-      window_(RunArena::local().acquire_job_window()),
-      cpu_slab_(RunArena::local().acquire_cpu_slab()) {
+      window_(RunArena::local().acquire_job_window()) {
   BSLD_REQUIRE(power_model_.gears() == time_model_.gears(),
                "Simulation: power and time models must share one gear set");
   batch_.reserve(kBatchCapacity);
@@ -49,7 +48,6 @@ Simulation::~Simulation() {
   Engine::Storage storage;
   engine_.release_storage(storage);
   arena.recycle_engine(std::move(storage));
-  arena.recycle_cpu_slab(std::move(cpu_slab_));
   arena.recycle_job_window(window_.release());
 }
 
@@ -165,20 +163,7 @@ void Simulation::start_job(JobId id, const std::vector<CpuId>& cpus,
       trace.run_time, start_gear, trace.beta);
 
   RunningRec& state = slot.state;
-  // Reuse an exact-size free run of the CPU slab when one exists (a job of
-  // this size finished earlier); otherwise bump-append. Offsets are never
-  // observable, so reuse cannot perturb results.
-  const auto len = static_cast<std::uint32_t>(cpus.size());
-  const auto free_it = free_cpu_runs_.find(len);
-  if (free_it != free_cpu_runs_.end() && !free_it->second.empty()) {
-    state.cpu_offset = free_it->second.back();
-    free_it->second.pop_back();
-    std::copy(cpus.begin(), cpus.end(), cpu_slab_.begin() + state.cpu_offset);
-  } else {
-    state.cpu_offset = static_cast<std::uint32_t>(cpu_slab_.size());
-    cpu_slab_.insert(cpu_slab_.end(), cpus.begin(), cpus.end());
-  }
-  state.cpu_len = len;
+  state.first_cpu = cpus.front();
   state.gear = start_gear;
   state.remaining_run_top = static_cast<double>(trace.run_time);
   state.remaining_req_top = static_cast<double>(trace.requested_time);
@@ -204,8 +189,6 @@ void Simulation::start_job(JobId id, const std::vector<CpuId>& cpus,
     state.pending_end = engine_.now() + decision.wake_delay + scaled_runtime;
   }
 
-  running_ids_.insert(
-      std::lower_bound(running_ids_.begin(), running_ids_.end(), id), id);
   machine_.assign(id, cpus, engine_.now() + state.scaled_requested);
   if (!decision.gate) {
     engine_.schedule(Event{state.pending_end, EventKind::kJobEnd, 0,
@@ -217,9 +200,14 @@ void Simulation::start_job(JobId id, const std::vector<CpuId>& cpus,
 }
 
 std::vector<JobId> Simulation::running_jobs() const {
-  // Kept sorted incrementally (insert on start, erase on finish), so the
-  // deterministic policy-facing order is a straight copy.
-  return running_ids_;
+  // The machine holds exactly the started, unfinished jobs (gated ones
+  // too); ascending ids give policies a deterministic order.
+  std::vector<JobId> ids;
+  for (const cluster::Machine::Running& held : machine_.by_end()) {
+    ids.push_back(held.job);
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 GearIndex Simulation::running_gear(JobId id) const { return running(id).gear; }
@@ -272,21 +260,24 @@ void Simulation::retime_job(JobId id, GearIndex gear, bool mark_boosted) {
   state.gear = gear;
   state.segment_start = base;
   if (mark_boosted) state.boosted = true;
+  (void)resume(global, base);
+}
 
-  // Re-time completion and the machine's expected end at the new gear.
-  const double new_coefficient =
-      time_model_.coefficient_with_beta(gear, trace.beta);
+Time Simulation::resume(std::uint64_t global, Time base) {
+  JobWindow::Slot& slot = window_.at(global);
+  RunningRec& state = slot.state;
+  const double coefficient =
+      time_model_.coefficient_with_beta(state.gear, slot.job.beta);
   const Time run_left = static_cast<Time>(
-      std::llround(state.remaining_run_top * new_coefficient));
+      std::llround(state.remaining_run_top * coefficient));
   const Time req_left = std::max(
       run_left, static_cast<Time>(
-                    std::llround(state.remaining_req_top * new_coefficient)));
+                    std::llround(state.remaining_req_top * coefficient)));
   state.pending_end = base + run_left;
-  cpu_scratch_.assign(cpu_slab_.begin() + state.cpu_offset,
-                      cpu_slab_.begin() + state.cpu_offset + state.cpu_len);
-  machine_.update_expected_end(id, cpu_scratch_, base + req_left);
+  machine_.update_expected_end(slot.job.id, state.first_cpu, base + req_left);
   engine_.schedule(Event{state.pending_end, EventKind::kJobEnd, 0,
                          static_cast<JobId>(global)});
+  return req_left;
 }
 
 void Simulation::set_job_gear(JobId id, GearIndex gear) {
@@ -299,27 +290,12 @@ void Simulation::release_job(JobId id, GearIndex gear) {
                "Simulation: release_job() on a job that is not gated");
   BSLD_REQUIRE(gear >= 0 && gear <= time_model_.gears().top_index(),
                "Simulation: gear out of range");
-  const std::uint64_t global = trace_index(id);
   const Time now = engine_.now();
-  const wl::Job& trace = window_.at(global).job;
   state.gated = false;
   state.gear = gear;
   state.start_gear = gear;  // The gear execution actually begins at.
   state.segment_start = now;
-  const double coefficient =
-      time_model_.coefficient_with_beta(gear, trace.beta);
-  const Time run_left = static_cast<Time>(
-      std::llround(state.remaining_run_top * coefficient));
-  const Time req_left = std::max(
-      run_left, static_cast<Time>(
-                    std::llround(state.remaining_req_top * coefficient)));
-  state.pending_end = now + run_left;
-  state.scaled_requested = (now - state.start) + req_left;
-  cpu_scratch_.assign(cpu_slab_.begin() + state.cpu_offset,
-                      cpu_slab_.begin() + state.cpu_offset + state.cpu_len);
-  machine_.update_expected_end(id, cpu_scratch_, now + req_left);
-  engine_.schedule(Event{state.pending_end, EventKind::kJobEnd, 0,
-                         static_cast<JobId>(global)});
+  state.scaled_requested = (now - state.start) + resume(trace_index(id), now);
 }
 
 void Simulation::schedule_timer(Time at) {
@@ -356,16 +332,15 @@ void Simulation::finish_job(std::uint64_t global) {
   // delivered before the slot becomes evictable.
   push_event(FinishRecord{outcome, global, final_segment});
 
-  finish_scratch_.assign(cpu_slab_.begin() + state.cpu_offset,
-                         cpu_slab_.begin() + state.cpu_offset + state.cpu_len);
-  machine_.release(id, finish_scratch_);
-  free_cpu_runs_[state.cpu_len].push_back(state.cpu_offset);
+  if (pm_ != nullptr) {
+    finish_cpus_.clear();
+    machine_.held_cpus(id, state.first_cpu, finish_cpus_);
+  }
+  machine_.release(id, state.first_cpu);
   state.running = false;
-  running_ids_.erase(
-      std::lower_bound(running_ids_.begin(), running_ids_.end(), id));
   ++finished_;
   last_end_ = std::max(last_end_, outcome.end);
-  if (pm_ != nullptr) pm_->on_job_finish(*this, id, finish_scratch_);
+  if (pm_ != nullptr) pm_->on_job_finish(*this, id, finish_cpus_);
 }
 
 SimulationResult Simulation::run() {
@@ -432,7 +407,7 @@ SimulationResult Simulation::run() {
 
   BSLD_REQUIRE(policy_.queue_size() == 0,
                "Simulation: drained event queue but jobs are still waiting");
-  BSLD_REQUIRE(running_ids_.empty(),
+  BSLD_REQUIRE(machine_.by_end().empty(),
                "Simulation: drained event queue but jobs are still running");
   BSLD_REQUIRE(finished_ == static_cast<std::int64_t>(window_.admitted()),
                "Simulation: job never ran");

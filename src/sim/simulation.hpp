@@ -21,9 +21,9 @@
 /// trace index; engine events carry that index, so the event loop never
 /// hashes a JobId — and finished, delivered jobs are evicted from the
 /// front, bounding per-job memory by the lookahead window plus the jobs
-/// simultaneously queued or running. CPU lists are allocated from one
-/// run-wide slab with exact-size run reuse, and observer dispatch is
-/// batched (observer.hpp). The engine slab, CPU slab, and job-window ring
+/// simultaneously queued or running. A running job's CPU list lives in the
+/// machine (cluster::Machine chains it from the first CPU), and observer
+/// dispatch is batched (observer.hpp). The engine slab and job-window ring
 /// are recycled across runs through the thread-local sim::RunArena.
 #pragma once
 
@@ -114,8 +114,7 @@ class Simulation final : public core::SchedulerContext,
              const power::PowerModel& power_model,
              const power::BetaTimeModel& time_model,
              SimulationConfig config = {});
-  /// Recycles the engine, CPU slab, and job-window ring into the thread's
-  /// RunArena.
+  /// Recycles the engine and job-window ring into the thread's RunArena.
   ~Simulation() override;
 
   /// Registers a non-owning observer of this run's event stream, invoked
@@ -174,6 +173,10 @@ class Simulation final : public core::SchedulerContext,
   /// (power-manager throttle/raise): closes the current gear segment and
   /// re-times completion. Gated jobs only update their planned gear.
   void retime_job(JobId id, GearIndex gear, bool mark_boosted);
+  /// Starts the job's current gear segment at `base`: schedules its
+  /// completion and re-times the machine's expected end. Returns the
+  /// requested time left.
+  Time resume(std::uint64_t global, Time base);
 
   /// Invokes `hook` on every attached observer (defaults first, then
   /// add_observer order). Only for the immediate run_begin/run_end hooks;
@@ -210,19 +213,9 @@ class Simulation final : public core::SchedulerContext,
   Engine engine_;
   JobWindow window_;                ///< In-flight jobs by global index.
   std::unordered_map<JobId, std::uint64_t> index_;  ///< Live JobId -> global.
-  /// Exact-size free runs inside cpu_slab_, by length: finished jobs
-  /// return their CPU-list run here and later starts of the same size
-  /// reuse it, so the slab is bounded by the machine size (times the
-  /// number of distinct allocation sizes), not by the trace length.
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> free_cpu_runs_;
-  std::vector<CpuId> cpu_slab_;     ///< Arena for RunningRec CPU lists.
-  std::vector<CpuId> cpu_scratch_;  ///< Reused for machine re-timing calls.
-  std::vector<CpuId> finish_scratch_;  ///< Reused by finish_job; separate
-                                       ///< from cpu_scratch_ because the pm
-                                       ///< finish hook holds a reference to
-                                       ///< it while it may re-gear other
-                                       ///< jobs (which use cpu_scratch_).
-  std::vector<JobId> running_ids_;  ///< Sorted ascending, kept incrementally.
+  /// The finished job's CPUs for pm_->on_job_finish, reused across jobs.
+  /// Nothing else writes it while the hook holds it and re-gears others.
+  std::vector<CpuId> finish_cpus_;
   std::vector<BatchedEvent> batch_; ///< Pending observer records.
   std::vector<SimObserver*> observers_;             ///< add_observer order.
   std::vector<SimObserver*> chain_;                 ///< Full set during run().

@@ -13,10 +13,7 @@ Reservation make_reservation(JobId job, Time start, std::vector<CpuId> cpus,
   reservation.job = job;
   reservation.start = start;
   reservation.cpus = cpus;
-  reservation.mask.assign(static_cast<std::size_t>(machine_cpus), 0);
-  for (const CpuId cpu : cpus) {
-    reservation.mask[static_cast<std::size_t>(cpu)] = 1;
-  }
+  reservation.mark(machine_cpus);
   return reservation;
 }
 
@@ -24,7 +21,8 @@ TEST(FirstFitTest, SelectsLowestIndices) {
   Machine machine(6);
   machine.assign(1, {1, 2}, 1000);
   const FirstFit selector;
-  const auto cpus = selector.select_at(machine, 3, 0, 0);
+  std::vector<CpuId> cpus;
+  selector.select_at(machine, 3, 0, 0, cpus);
   EXPECT_EQ(cpus, (std::vector<CpuId>{0, 3, 4}));
 }
 
@@ -34,7 +32,8 @@ TEST(FirstFitTest, SelectAtFutureIncludesFreeingCpus) {
   machine.assign(2, {1}, 500);
   const FirstFit selector;
   // At t=100 cpu 0 frees; {0, 2, 3} are the lowest available by then.
-  const auto cpus = selector.select_at(machine, 3, 100, 0);
+  std::vector<CpuId> cpus;
+  selector.select_at(machine, 3, 100, 0, cpus);
   EXPECT_EQ(cpus, (std::vector<CpuId>{0, 2, 3}));
 }
 
@@ -42,16 +41,17 @@ TEST(FirstFitTest, SelectAtThrowsWhenInsufficient) {
   Machine machine(2);
   machine.assign(1, {0}, 1000);
   const FirstFit selector;
-  EXPECT_THROW((void)selector.select_at(machine, 2, 10, 0), Error);
+  std::vector<CpuId> cpus;
+  EXPECT_THROW(selector.select_at(machine, 2, 10, 0, cpus), Error);
 }
 
 TEST(FirstFitTest, BackfillWithoutReservationUsesAnyFree) {
   Machine machine(4);
   machine.assign(1, {0}, 1000);
   const FirstFit selector;
-  const auto cpus = selector.select_backfill(machine, 2, 0, 99999, nullptr);
-  ASSERT_TRUE(cpus.has_value());
-  EXPECT_EQ(*cpus, (std::vector<CpuId>{1, 2}));
+  std::vector<CpuId> cpus;
+  ASSERT_TRUE(selector.select_backfill(machine, 2, 99999, nullptr, cpus));
+  EXPECT_EQ(cpus, (std::vector<CpuId>{1, 2}));
 }
 
 TEST(FirstFitTest, BackfillFinishingBeforeShadowMayUseReservedCpus) {
@@ -59,9 +59,9 @@ TEST(FirstFitTest, BackfillFinishingBeforeShadowMayUseReservedCpus) {
   const Reservation reservation = make_reservation(9, 500, {0, 1}, 4);
   const FirstFit selector;
   // Ends at 400 <= 500: reserved CPUs are fair game; lowest indices win.
-  const auto cpus = selector.select_backfill(machine, 2, 0, 400, &reservation);
-  ASSERT_TRUE(cpus.has_value());
-  EXPECT_EQ(*cpus, (std::vector<CpuId>{0, 1}));
+  std::vector<CpuId> cpus;
+  ASSERT_TRUE(selector.select_backfill(machine, 2, 400, &reservation, cpus));
+  EXPECT_EQ(cpus, (std::vector<CpuId>{0, 1}));
 }
 
 TEST(FirstFitTest, BackfillCrossingShadowAvoidsReservedCpus) {
@@ -69,9 +69,9 @@ TEST(FirstFitTest, BackfillCrossingShadowAvoidsReservedCpus) {
   const Reservation reservation = make_reservation(9, 500, {0, 1}, 4);
   const FirstFit selector;
   // Ends at 600 > 500: only CPUs outside the reservation qualify.
-  const auto cpus = selector.select_backfill(machine, 2, 0, 600, &reservation);
-  ASSERT_TRUE(cpus.has_value());
-  EXPECT_EQ(*cpus, (std::vector<CpuId>{2, 3}));
+  std::vector<CpuId> cpus;
+  ASSERT_TRUE(selector.select_backfill(machine, 2, 600, &reservation, cpus));
+  EXPECT_EQ(cpus, (std::vector<CpuId>{2, 3}));
 }
 
 TEST(FirstFitTest, BackfillCrossingShadowFailsWhenOnlyReservedLeft) {
@@ -79,30 +79,30 @@ TEST(FirstFitTest, BackfillCrossingShadowFailsWhenOnlyReservedLeft) {
   machine.assign(1, {2, 3}, 2000);
   const Reservation reservation = make_reservation(9, 500, {0, 1}, 4);
   const FirstFit selector;
-  EXPECT_FALSE(
-      selector.select_backfill(machine, 2, 0, 600, &reservation).has_value());
+  std::vector<CpuId> cpus;
+  EXPECT_FALSE(selector.select_backfill(machine, 2, 600, &reservation, cpus));
   // ...but fits if it ends before the shadow.
-  EXPECT_TRUE(
-      selector.select_backfill(machine, 2, 0, 500, &reservation).has_value());
+  EXPECT_TRUE(selector.select_backfill(machine, 2, 500, &reservation, cpus));
 }
 
 TEST(FirstFitTest, BackfillSkipsBusyCpus) {
   Machine machine(4);
   machine.assign(1, {0}, 1000);
   const FirstFit selector;
-  const auto cpus = selector.select_backfill(machine, 3, 0, 100, nullptr);
-  ASSERT_TRUE(cpus.has_value());
-  EXPECT_EQ(*cpus, (std::vector<CpuId>{1, 2, 3}));
-  EXPECT_FALSE(selector.select_backfill(machine, 4, 0, 100, nullptr).has_value());
+  std::vector<CpuId> cpus;
+  ASSERT_TRUE(selector.select_backfill(machine, 3, 100, nullptr, cpus));
+  EXPECT_EQ(cpus, (std::vector<CpuId>{1, 2, 3}));
+  EXPECT_FALSE(selector.select_backfill(machine, 4, 100, nullptr, cpus));
 }
 
 TEST(LastFitTest, SelectsHighestIndices) {
   Machine machine(6);
   const LastFit selector;
-  EXPECT_EQ(selector.select_at(machine, 2, 0, 0), (std::vector<CpuId>{5, 4}));
-  const auto backfill = selector.select_backfill(machine, 2, 0, 10, nullptr);
-  ASSERT_TRUE(backfill.has_value());
-  EXPECT_EQ(*backfill, (std::vector<CpuId>{5, 4}));
+  std::vector<CpuId> cpus;
+  selector.select_at(machine, 2, 0, 0, cpus);
+  EXPECT_EQ(cpus, (std::vector<CpuId>{5, 4}));
+  ASSERT_TRUE(selector.select_backfill(machine, 2, 10, nullptr, cpus));
+  EXPECT_EQ(cpus, (std::vector<CpuId>{5, 4}));
 }
 
 TEST(SelectorFactoryTest, KnownAndUnknownNames) {
@@ -118,6 +118,18 @@ TEST(ReservationTest, ContainsUsesMask) {
   EXPECT_FALSE(reservation.contains(99));  // out of mask: false, not UB
   EXPECT_TRUE(reservation.active());
   EXPECT_FALSE(Reservation{}.active());
+}
+
+TEST(ReservationTest, ClearKeepsStorageAndDropsBits) {
+  Reservation reservation = make_reservation(1, 10, {2, 70}, 80);
+  reservation.clear();
+  EXPECT_FALSE(reservation.active());
+  EXPECT_TRUE(reservation.cpus.empty());
+  EXPECT_EQ(reservation.mask, (std::vector<std::uint64_t>{0, 0}));
+  reservation.cpus = {5};
+  reservation.mark(80);
+  EXPECT_TRUE(reservation.contains(5));
+  EXPECT_FALSE(reservation.contains(2));
 }
 
 }  // namespace
