@@ -254,7 +254,7 @@ void BM_StreamIngest(benchmark::State& state) {
 BENCHMARK(BM_StreamIngest)->Arg(100'000)->Unit(benchmark::kMillisecond);
 
 /// The headline scale case: one million jobs pulled through the streaming
-/// pipeline end to end — bounded lookahead window, aggregate-only
+/// pipeline end to end — one outstanding submit, aggregate-only
 /// observers, sampled traces — with the window high-water mark reported as
 /// a counter (the O(1)-memory claim, asserted exactly by the integration
 /// suite).

@@ -36,8 +36,8 @@ can express, over src/, tests/, examples/ and bench/:
                    suppression naming that fact.
   eager-ingest     src/ outside src/workload (where it is defined) must
                    not call wl::load_source(): every execution path pulls
-                   jobs through wl::open_stream()/JobStream under a
-                   bounded lookahead window, so a materialized trace
+                   jobs through wl::open_stream()/JobStream one submit
+                   ahead of the clock, so a materialized trace
                    (O(jobs) memory) can never sneak back into a run.
 
 The architecture-level rules (include-graph layering, cycles, orphan
@@ -235,8 +235,8 @@ def rule_own_header_first(scan_root, path, raw, findings_out):
 
 
 def rule_eager_ingest(path, raw, code, text):
-    # Every run pulls jobs through wl::JobStream under a bounded lookahead
-    # window; materializing a whole trace anywhere in the library would
+    # Every run pulls jobs through wl::JobStream one submit ahead of the
+    # clock; materializing a whole trace anywhere in the library would
     # silently reintroduce O(jobs) memory on the million-job path.
     # src/workload defines load_source() on top of the streams.
     if not path.startswith("src/") or path.startswith("src/workload/"):

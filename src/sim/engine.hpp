@@ -1,25 +1,19 @@
 /// \file engine.hpp
 /// \brief Event-driven simulation engine (the Alvio-equivalent substrate).
 ///
-/// A fully deterministic calendar queue (Brown 1988): pending events live
-/// in power-of-two time buckets of power-of-two width, so scheduling and
-/// popping are O(1) amortized instead of the O(log n) of the previous
-/// binary-heap engine. Bucket storage is one flat slab of fixed-capacity
-/// segments holding 24-byte packed nodes — scheduling is a single indexed
-/// store, and segments are sorted lazily the first time the drain cursor
-/// reaches them. The slab and its metadata arrays are pooled and
-/// recyclable across runs through Engine::Storage (see sim/arena.hpp), so
-/// a warm simulation performs no per-event heap allocation.
+/// A binary min-heap over a std::vector, ordered by the (time, kind,
+/// sequence) total order of event.hpp. The queue stays small: it holds
+/// the running jobs' completions, pending power-manager timers and the
+/// single outstanding submit (see simulation.hpp), so the heap stays
+/// shallow.
 ///
-/// Determinism contract: pop order is exactly the (time, kind, sequence)
-/// total order of event.hpp, independent of bucket count, bucket width,
-/// or resize history. Scheduling an event in the past is a hard error (it
-/// would silently corrupt causality). docs/simulation-internals.md
-/// documents the bucket policy in prose.
+/// Determinism contract: pop order is exactly EventBefore order, and the
+/// sequence assigned in schedule() makes it total. Scheduling an event in
+/// the past is a hard error (it would silently corrupt causality).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -29,190 +23,52 @@
 
 namespace bsld::sim {
 
-/// Calendar-queue event engine with a monotonic clock.
+/// Binary-heap event engine with a monotonic clock.
 ///
 /// Not reentrant and not thread-safe: one engine belongs to one
 /// simulation on one thread (the confinement rule of observer.hpp).
 class Engine {
- private:
-  /// Packed pending event: `key` is (time << 2) | kind, so one integer
-  /// compare orders by (time, kind); `seq` breaks the remaining ties.
-  /// Deliberately without default initializers: slabs are allocated
-  /// uninitialized (make_unique_for_overwrite) and only written slots are
-  /// ever read.
-  struct Node {
-    std::uint64_t key;
-    std::uint64_t seq;
-    JobId job;
-  };
-
-  static constexpr std::uint64_t pack(Time time, EventKind kind) {
-    return (static_cast<std::uint64_t>(time) << 2) |
-           static_cast<std::uint64_t>(kind);
-  }
-  static constexpr Time time_of(std::uint64_t key) {
-    return static_cast<Time>(key >> 2);
-  }
-
  public:
-  /// Recycled backing capacity (no live events): move a drained engine's
-  /// storage out and hand it to the next engine to skip warm-up
-  /// allocations. Default-constructible, movable.
-  struct Storage {
-    std::unique_ptr<Node[]> slab;     ///< Segment slab.
-    std::unique_ptr<Node[]> slab_alt; ///< Rebuild double buffer.
-    std::size_t slab_nodes = 0;       ///< Capacity of `slab` in nodes.
-    std::size_t slab_alt_nodes = 0;   ///< Capacity of `slab_alt` in nodes.
-    std::vector<std::uint8_t> count;  ///< Per-bucket occupancy.
-    std::vector<std::uint8_t> head;   ///< Per-bucket consumed prefix.
-    std::vector<std::uint8_t> sorted; ///< Per-bucket sorted prefix.
-    std::vector<Node> overflow;       ///< Same-time spill vector.
-  };
-
-  Engine();
-  /// Constructs an engine that adopts `recycle`'s capacity (contents are
-  /// cleared; `recycle` is left empty). Pass the same struct to
-  /// release_storage() when done to complete the round trip.
-  explicit Engine(Storage&& recycle);
-
   /// Current simulation time (0 before the first event). Units: simulated
   /// seconds, monotonically non-decreasing.
   [[nodiscard]] Time now() const { return now_; }
 
   /// Schedules `event` (its `sequence` is assigned here, making engine
   /// order total). Throws bsld::Error when the event lies in the past
-  /// (event.time < now()). Amortized O(1); may trigger a bucket-table
-  /// rebuild when occupancy grows past the table's target load.
+  /// (event.time < now()). O(log pending).
   void schedule(Event event) {
     BSLD_REQUIRE(event.time >= now_, "Engine: scheduling an event in the past");
-    if (event.time > max_time_) max_time_ = event.time;
-    const Node node{pack(event.time, event.kind), next_sequence_++, event.job};
-    const std::size_t b = bucket_of(event.time);
-    const std::uint8_t c = count_[b];
-    if (c < kSlot) {
-      slab_[(b << kSlotShift) + c] = node;
-      count_[b] = c + 1;
-    } else {
-      spill(node);
-    }
-    ++size_;
-    if (size_ > (mask_ + 1) * kTargetLoad && mask_ + 1 < kMaxBuckets) grow();
+    event.sequence = next_sequence_++;
+    heap_.push_back(event);
+    std::push_heap(heap_.begin(), heap_.end(), after);
   }
 
   /// Pops the next event in (time, kind, sequence) order and advances the
-  /// clock to its time; nullopt when drained. Amortized O(log load)
-  /// comparisons from the lazy per-segment sort.
+  /// clock to its time; nullopt when drained. O(log pending).
   std::optional<Event> pop() {
-    if (size_ == 0) return std::nullopt;
-    for (std::size_t scanned = 0; scanned <= mask_; ++scanned) {
-      const std::uint8_t h = head_[cursor_];
-      const std::uint8_t c = count_[cursor_];
-      if (h < c) {
-        Node* seg = &slab_[cursor_ << kSlotShift];
-        if (sorted_[cursor_] != c) sort_segment(seg, cursor_);
-        if (seg[h].key < year_key_) {
-          if (overflow_head_ < overflow_.size()) return take_min_vs_overflow();
-          return take_front();
-        }
-      }
-      cursor_ = (cursor_ + 1) & mask_;
-      year_key_ += std::uint64_t{1} << (shift_ + 2);
-    }
-    return pop_slow();
+    if (heap_.empty()) return std::nullopt;
+    std::pop_heap(heap_.begin(), heap_.end(), after);
+    const Event event = heap_.back();
+    heap_.pop_back();
+    now_ = event.time;
+    ++processed_;
+    return event;
   }
 
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t pending() const { return size_; }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
   /// Total events processed so far (microbenchmark metric).
   [[nodiscard]] std::uint64_t processed() const { return processed_; }
 
-  /// Current bucket-table size (test/introspection hook; the table grows
-  /// and shrinks with occupancy, see docs/simulation-internals.md).
-  [[nodiscard]] std::size_t bucket_count() const { return mask_ + 1; }
-
-  /// Moves the engine's backing capacity into `out` for reuse by a later
-  /// engine. Only meaningful once drained; pending events are discarded.
-  void release_storage(Storage& out);
-
  private:
-  [[nodiscard]] std::size_t bucket_of(Time t) const {
-    return (static_cast<std::uint64_t>(t) >> shift_) & mask_;
+  /// Heap comparator: std heaps keep the comparator's maximum on top, so
+  /// "pops later" puts the earliest event there.
+  static bool after(const Event& a, const Event& b) {
+    return EventBefore{}(b, a);
   }
-  /// Sorts the pending tail of `seg` (bucket `b`) in place.
-  void sort_segment(Node* seg, std::size_t b);
-  /// Pops the front pending node of bucket `cursor_` (must be in-window).
-  std::optional<Event> take_front() {
-    Node* seg = &slab_[cursor_ << kSlotShift];
-    std::uint8_t h = head_[cursor_];
-    const Node node = seg[h++];
-    if (h == count_[cursor_]) {
-      head_[cursor_] = 0;
-      count_[cursor_] = 0;
-      sorted_[cursor_] = 0;
-    } else {
-      head_[cursor_] = h;
-    }
-    --size_;
-    const Time time = time_of(node.key);
-    BSLD_REQUIRE(time >= now_, "Engine: time went backwards");
-    now_ = time;
-    ++processed_;
-    if (mask_ + 1 > kMinBuckets && size_ * 2 < mask_ + 1) shrink();
-    return Event{time, static_cast<EventKind>(node.key & 3), node.seq,
-                 node.job};
-  }
-  /// Handles a full segment: compacts its consumed prefix, grows the
-  /// table when finer buckets could separate the keys, and only then
-  /// spills to overflow_ (same-time events growth cannot split).
-  void spill(const Node& node);
-  /// Grows the bucket table by 4x (called from schedule at load limit).
-  void grow();
-  /// Shrinks the bucket table by 4x (called from take_front when sparse).
-  void shrink();
-  /// Pop tiebreak while overflow_ is non-empty: returns the earlier of
-  /// the year-scan candidate (bucket cursor_) and the overflow front.
-  std::optional<Event> take_min_vs_overflow();
-  /// Pops the overflow front and resyncs the cursor to the new now().
-  std::optional<Event> take_overflow_front();
-  /// Year-scan miss: re-tune the bucket width for the pending span, or —
-  /// for tiny queues — jump straight to the earliest pending event.
-  std::optional<Event> pop_slow();
-  /// Re-tables all pending events into `nbuckets` buckets with a width
-  /// derived from the pending time span; buckets become unsorted again.
-  void rebuild(std::size_t nbuckets);
-  void resync_cursor(Time at);
 
-  static constexpr std::size_t kMinBuckets = 16;
-  /// Table-size ceiling: 2^14 buckets = a 12.6 MiB slab, the largest that
-  /// stays TLB-friendly on the drain scan. Beyond kMaxBuckets * kSlot
-  /// pending events, segments saturate and spill to overflow_ (correct
-  /// but slower); see docs/simulation-internals.md for the scaling note.
-  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 14;
-  /// Segment capacity (slots per bucket) and its log2.
-  static constexpr std::size_t kSlot = 32;
-  static constexpr unsigned kSlotShift = 5;
-  /// Target events per bucket; bounds the lazy sort's working set. kSlot
-  /// is 8x this, so Poisson occupancy tails essentially never spill.
-  static constexpr std::size_t kTargetLoad = 4;
-
-  std::unique_ptr<Node[]> slab_;     ///< Pooled segment slab.
-  std::unique_ptr<Node[]> slab_alt_; ///< Rebuild double buffer.
-  std::size_t slab_nodes_ = 0;       ///< Capacity of slab_ in nodes.
-  std::size_t slab_alt_nodes_ = 0;   ///< Capacity of slab_alt_ in nodes.
-  std::vector<std::uint8_t> count_;  ///< Per-bucket occupancy.
-  std::vector<std::uint8_t> head_;   ///< Per-bucket consumed prefix.
-  std::vector<std::uint8_t> sorted_; ///< Per-bucket sorted prefix end.
-  std::vector<Node> overflow_;       ///< Same-time spills (rare).
-  std::uint32_t overflow_head_ = 0;  ///< Consumed prefix of overflow_.
-  bool overflow_sorted_ = false;
-  std::size_t mask_ = kMinBuckets - 1; ///< bucket count - 1 (power of two).
-  unsigned shift_ = 0;                ///< log2 of bucket width.
-  std::size_t size_ = 0;              ///< Pending events.
-  std::size_t cursor_ = 0;            ///< Bucket currently being drained.
-  std::uint64_t year_key_ = pack(1, static_cast<EventKind>(0));
-  ///< Packed exclusive end of cursor_'s time window.
+  std::vector<Event> heap_;
   Time now_ = 0;
-  Time max_time_ = 0;                 ///< Largest time ever scheduled.
   std::uint64_t next_sequence_ = 0;
   std::uint64_t processed_ = 0;
 };

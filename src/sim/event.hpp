@@ -3,9 +3,9 @@
 ///
 /// Ordering is total and deterministic: by time, then kind (completions
 /// before submissions at the same instant, so arrivals observe the CPUs
-/// freed "now"), then insertion sequence. Every container that holds
-/// pending events — today the calendar queue in engine.hpp — must pop in
-/// exactly this order; golden-file parity across runs depends on it.
+/// freed "now"), then insertion sequence. The engine's heap (engine.hpp)
+/// pops in exactly this order; golden-file parity across runs depends on
+/// it.
 #pragma once
 
 #include <cstdint>
@@ -42,15 +42,6 @@ struct Event {
 struct EventBefore {
   bool operator()(const Event& a, const Event& b) const {
     return std::tuple(a.time, static_cast<int>(a.kind), a.sequence) <
-           std::tuple(b.time, static_cast<int>(b.kind), b.sequence);
-  }
-};
-
-/// Strict-weak order "a pops after b" (max-heap comparator form, kept for
-/// callers that want the inverted sense).
-struct EventAfter {
-  bool operator()(const Event& a, const Event& b) const {
-    return std::tuple(a.time, static_cast<int>(a.kind), a.sequence) >
            std::tuple(b.time, static_cast<int>(b.kind), b.sequence);
   }
 };

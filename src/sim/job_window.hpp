@@ -1,12 +1,12 @@
 /// \file job_window.hpp
 /// \brief Bounded ring of in-flight jobs addressed by global trace index.
 ///
-/// The streaming simulation never holds the whole trace: jobs enter the
-/// window when their submit event is scheduled (the lookahead pump) and
-/// leave once they have finished *and* their batched observer records have
-/// been delivered. Engine events and observer records carry the job's
-/// *global* trace index — its 0-based position in stream order — and the
-/// window maps that index to a slot in a power-of-two ring
+/// The streaming simulation never holds the whole trace: a job enters the
+/// window when its submit event is scheduled (one submit is outstanding at
+/// a time) and leaves once it has finished *and* its batched observer
+/// records have been delivered. Engine events and observer records carry
+/// the job's *global* trace index — its 0-based position in stream order —
+/// and the window maps that index to a slot in a power-of-two ring
 /// (slot = global & (capacity - 1)). Because admissions are contiguous and
 /// evictions retire the oldest live index first, a global index is live iff
 /// it lies in [evicted(), admitted()); a stale engine event for an already
@@ -14,11 +14,11 @@
 /// generation counters.
 ///
 /// Capacity grows geometrically when the live span outruns the ring, so a
-/// run's memory is bounded by the submit lookahead plus the number of jobs
-/// simultaneously queued or running. peak_live() reports the high-water
-/// mark — the number SimulationResult::peak_live_jobs exposes and the
-/// million-job memory test asserts on. Storage is recycled across runs
-/// through sim::RunArena.
+/// run's memory is bounded by the next job plus the number of jobs
+/// simultaneously queued, running or awaiting delivery. peak_live()
+/// reports the high-water mark — the number
+/// SimulationResult::peak_live_jobs exposes and the million-job memory test
+/// asserts on.
 #pragma once
 
 #include <algorithm>
@@ -66,16 +66,8 @@ class JobWindow {
     RunningRec state;
     bool started = false;  ///< start_job() ran for this trace index.
   };
-  /// Recyclable backing capacity (see sim::RunArena).
-  using Storage = std::vector<Slot>;
-
-  /// Adopts `storage`'s capacity (contents are discarded). The ring starts
-  /// at a small power-of-two size and grows on demand.
-  explicit JobWindow(Storage&& storage) : slots_(std::move(storage)) {
-    const std::size_t kept = size_floor(slots_.capacity());
-    slots_.clear();
-    slots_.resize(std::max(kept, kInitialCapacity));
-  }
+  /// The ring starts at a small power-of-two size and grows on demand.
+  JobWindow() : slots_(kInitialCapacity) {}
 
   /// Admits the next trace index. `global` must equal admitted() —
   /// admissions are contiguous by construction. Returns the slot, reset.
@@ -125,26 +117,14 @@ class JobWindow {
   [[nodiscard]] std::uint64_t live() const { return admitted_ - evicted_; }
   /// High-water mark of live() over the run — the streaming memory bound.
   [[nodiscard]] std::uint64_t peak_live() const { return peak_live_; }
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
-
-  /// Moves the backing storage out for recycling (the window is dead
-  /// afterwards).
-  [[nodiscard]] Storage release() { return std::move(slots_); }
 
  private:
   static constexpr std::size_t kInitialCapacity = 1024;
 
-  /// Largest power of two <= n (kInitialCapacity floor).
-  static std::size_t size_floor(std::size_t n) {
-    std::size_t p = kInitialCapacity;
-    while (p * 2 <= n) p *= 2;
-    return p;
-  }
-
   /// Doubles the ring and re-places every live slot at its new position
   /// (global & (new_capacity - 1)).
   void grow() {
-    Storage next(slots_.size() * 2);
+    std::vector<Slot> next(slots_.size() * 2);
     for (std::uint64_t g = evicted_; g < admitted_; ++g) {
       next[static_cast<std::size_t>(g) & (next.size() - 1)] = std::move(
           slots_[static_cast<std::size_t>(g) & (slots_.size() - 1)]);
@@ -152,7 +132,7 @@ class JobWindow {
     slots_ = std::move(next);
   }
 
-  Storage slots_;  ///< Power-of-two ring.
+  std::vector<Slot> slots_;  ///< Power-of-two ring.
   std::uint64_t admitted_ = 0;
   std::uint64_t evicted_ = 0;
   std::uint64_t peak_live_ = 0;

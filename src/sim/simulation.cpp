@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "sim/arena.hpp"
 #include "sim/instruments.hpp"
 #include "util/error.hpp"
 
@@ -15,14 +14,14 @@ namespace bsld::sim {
 // hashing. The JobId resurfaces from the window slot where policies and
 // managers need it. kPmTimer events carry kNoJob.
 //
-// Pop-order equivalence of the lookahead pump (why a bounded window is
-// byte-identical to scheduling every submit up front): submits are
-// scheduled in stream order, and the engine breaks (time, kind) ties by
-// schedule sequence — so same-time submits pop in stream order no matter
-// when each was scheduled. Cross-kind ties are decided by kind alone
-// (kJobEnd pops before a same-time kJobSubmit in both schemes). And since
-// the stream is sorted, a job admitted while the clock sits at a popped
-// submit's time T has submit >= T — never scheduled in the past.
+// Pop-order equivalence of the one-submit pump (why pulling the stream one
+// job at a time is byte-identical to scheduling every submit up front):
+// submits are scheduled in stream order, and the engine breaks (time,
+// kind) ties by schedule sequence — so same-time submits pop in stream
+// order no matter when each was scheduled. Cross-kind ties are decided by
+// kind alone (kJobEnd pops before a same-time kJobSubmit in both schemes).
+// And since the stream is sorted, a job admitted while the clock sits at a
+// popped submit's time T has submit >= T — never scheduled in the past.
 
 Simulation::Simulation(wl::JobStream& stream, core::SchedulingPolicy& policy,
                        const power::PowerModel& power_model,
@@ -34,21 +33,10 @@ Simulation::Simulation(wl::JobStream& stream, core::SchedulingPolicy& policy,
       config_(config),
       pm_(config.power_manager),
       stream_(&stream),
-      lookahead_(std::max<std::int64_t>(1, config.submit_lookahead)),
-      machine_(config.cpus > 0 ? config.cpus : stream.cpus()),
-      engine_(RunArena::local().acquire_engine()),
-      window_(RunArena::local().acquire_job_window()) {
+      machine_(config.cpus > 0 ? config.cpus : stream.cpus()) {
   BSLD_REQUIRE(power_model_.gears() == time_model_.gears(),
                "Simulation: power and time models must share one gear set");
   batch_.reserve(kBatchCapacity);
-}
-
-Simulation::~Simulation() {
-  RunArena& arena = RunArena::local();
-  Engine::Storage storage;
-  engine_.release_storage(storage);
-  arena.recycle_engine(std::move(storage));
-  arena.recycle_job_window(window_.release());
 }
 
 void Simulation::add_observer(SimObserver& observer) {
@@ -102,31 +90,22 @@ void Simulation::flush_events() {
   }
 }
 
-void Simulation::pump_submits() {
-  while (!stream_done_ && submits_outstanding_ < lookahead_) {
-    std::optional<wl::Job> job = stream_->next();
-    if (!job.has_value()) {
-      stream_done_ = true;
-      break;
-    }
-    BSLD_REQUIRE(job->size >= 1 && job->size <= machine_.cpu_count(),
-                 "Simulation: job size outside [1, cpus] — clean or clamp "
-                 "the workload first");
-    BSLD_REQUIRE(job->run_time >= 0 && job->requested_time >= 1,
-                 "Simulation: invalid job durations");
-    const std::uint64_t global = window_.admitted();
-    BSLD_REQUIRE(index_.emplace(job->id, global).second,
-                 "Simulation: duplicate job id");
-    if (!have_first_submit_) {
-      first_submit_ = job->submit;
-      have_first_submit_ = true;
-    }
-    const Time submit = job->submit;
-    window_.admit(global, std::move(*job));
-    engine_.schedule(Event{submit, EventKind::kJobSubmit, 0,
-                           static_cast<JobId>(global)});
-    ++submits_outstanding_;
-  }
+void Simulation::pump_submit() {
+  std::optional<wl::Job> job = stream_->next();
+  if (!job.has_value()) return;
+  BSLD_REQUIRE(job->size >= 1 && job->size <= machine_.cpu_count(),
+               "Simulation: job size outside [1, cpus] — clean or clamp "
+               "the workload first");
+  BSLD_REQUIRE(job->run_time >= 0 && job->requested_time >= 1,
+               "Simulation: invalid job durations");
+  const std::uint64_t global = window_.admitted();
+  BSLD_REQUIRE(index_.emplace(job->id, global).second,
+               "Simulation: duplicate job id");
+  if (global == 0) first_submit_ = job->submit;
+  const Time submit = job->submit;
+  window_.admit(global, std::move(*job));
+  engine_.schedule(Event{submit, EventKind::kJobSubmit, 0,
+                         static_cast<JobId>(global)});
 }
 
 void Simulation::start_job(JobId id, const std::vector<CpuId>& cpus,
@@ -364,8 +343,7 @@ SimulationResult Simulation::run() {
   notify([&](SimObserver& observer) { observer.on_run_begin(begin); });
   if (pm_ != nullptr) pm_->on_run_begin(*this);
 
-  // Fill the lookahead window.
-  pump_submits();
+  pump_submit();
   BSLD_REQUIRE(window_.admitted() > 0, "Simulation: empty workload");
 
   while (auto event = engine_.pop()) {
@@ -376,10 +354,9 @@ SimulationResult Simulation::run() {
         push_event(SubmitRecord{global, event->time});
         if (pm_ != nullptr) pm_->on_job_submit(*this, id);
         policy_.on_submit(*this, id);
-        --submits_outstanding_;
-        // Refill the window at the popped submit's time; the sorted-stream
-        // contract guarantees refills are never in the past.
-        pump_submits();
+        // Admit the next job at the popped submit's time; the sorted-stream
+        // contract guarantees it is never in the past.
+        pump_submit();
         break;
       }
       case EventKind::kJobEnd: {

@@ -13,18 +13,17 @@
 ///
 /// Job ingestion is pull-based and there is one execution path
 /// (docs/simulation-internals.md, "Job ingestion & streaming"): the
-/// simulation reads a wl::JobStream and keeps at most `submit_lookahead`
-/// un-popped submit events in the calendar queue, so a million-job trace
-/// flows through without ever being materialized. Callers holding a
-/// wl::Workload replay it through a wl::VectorJobStream. Job state lives in
-/// a sim::JobWindow — a bounded ring of in-flight jobs addressed by global
+/// simulation reads a wl::JobStream one job ahead of the clock — exactly
+/// one submit event is pending at any time — so a million-job trace flows
+/// through without ever being materialized. Callers holding a wl::Workload
+/// replay it through a wl::VectorJobStream. Job state lives in a
+/// sim::JobWindow — a bounded ring of in-flight jobs addressed by global
 /// trace index; engine events carry that index, so the event loop never
 /// hashes a JobId — and finished, delivered jobs are evicted from the
-/// front, bounding per-job memory by the lookahead window plus the jobs
+/// front, bounding per-job memory by the next job plus the jobs
 /// simultaneously queued or running. A running job's CPU list lives in the
 /// machine (cluster::Machine chains it from the first CPU), and observer
-/// dispatch is batched (observer.hpp). The engine slab and job-window ring
-/// are recycled across runs through the thread-local sim::RunArena.
+/// dispatch is batched (observer.hpp).
 #pragma once
 
 #include <cstdint>
@@ -59,11 +58,6 @@ struct SimulationConfig {
   /// synthetic workloads run in O(1) memory per worker; SimulationResult
   /// aggregates are bit-identical either way.
   bool retain_jobs = true;
-  /// Maximum submit events admitted to the calendar queue ahead of the
-  /// clock (clamped to >= 1). Larger values trade memory for fewer stream
-  /// pulls per event; event order — and therefore every result — is
-  /// independent of the value.
-  std::int64_t submit_lookahead = 4096;
   /// Optional cluster power manager (non-owning; must outlive run()).
   /// nullptr — like the registered `pm=none` manager — leaves every run
   /// bit-identical to the pre-pm simulator.
@@ -89,7 +83,7 @@ struct SimulationResult {
   double utilization = 0.0;             ///< Busy share of cpus*horizon.
   std::uint64_t events_processed = 0;
   /// High-water mark of simultaneously resident jobs — the per-job memory
-  /// bound (lookahead window plus queued and running jobs).
+  /// bound (the next job plus queued, running and undelivered jobs).
   std::int64_t peak_live_jobs = 0;
 };
 
@@ -103,19 +97,17 @@ class Simulation final : public core::SchedulerContext,
                          public pm::PmContext,
                          public JobResolver {
  public:
-  /// Pulls jobs from `stream` on demand under
-  /// SimulationConfig::submit_lookahead. The stream must yield jobs in
-  /// non-decreasing submit order (wl::sort_by_submit brings a hand-built
-  /// trace there); same-time jobs are submitted in stream order. Jobs are
-  /// validated at admission, so run() throws bsld::Error on an empty
-  /// stream, a job larger than the machine, invalid durations, or an id
-  /// that is still live. All references must outlive run().
+  /// Pulls jobs from `stream` one at a time, each when the previous job's
+  /// submit pops. The stream must yield jobs in non-decreasing submit order
+  /// (wl::sort_by_submit brings a hand-built trace there); same-time jobs
+  /// are submitted in stream order. Jobs are validated at admission, so
+  /// run() throws bsld::Error on an empty stream, a job larger than the
+  /// machine, invalid durations, or an id that is still live. All
+  /// references must outlive run().
   Simulation(wl::JobStream& stream, core::SchedulingPolicy& policy,
              const power::PowerModel& power_model,
              const power::BetaTimeModel& time_model,
              SimulationConfig config = {});
-  /// Recycles the engine and job-window ring into the thread's RunArena.
-  ~Simulation() override;
 
   /// Registers a non-owning observer of this run's event stream, invoked
   /// after the default instruments, in registration order. Must be called
@@ -163,11 +155,11 @@ class Simulation final : public core::SchedulerContext,
   [[nodiscard]] std::uint64_t trace_index(JobId id) const;
   [[nodiscard]] RunningRec& running(JobId id);
   [[nodiscard]] const RunningRec& running(JobId id) const;
-  /// Admits jobs from the stream until the lookahead window is full or the
-  /// stream ends: validates, indexes, places the job in the window, and
-  /// schedules its submit event. Called before the drain and after every
-  /// popped submit, so at most `lookahead_` submits are ever outstanding.
-  void pump_submits();
+  /// Admits the next stream job, if any: validates, indexes, places it in
+  /// the window and schedules its submit event. Called before the drain
+  /// and after every popped submit, so exactly one submit is pending until
+  /// the stream ends.
+  void pump_submit();
   void finish_job(std::uint64_t global);
   /// Shared re-gearing path of boost_job (policy raise) and set_job_gear
   /// (power-manager throttle/raise): closes the current gear segment and
@@ -207,7 +199,6 @@ class Simulation final : public core::SchedulerContext,
   pm::PowerManager* pm_ = nullptr;  ///< == config_.power_manager.
 
   wl::JobStream* stream_ = nullptr;  ///< The ingestion source.
-  std::int64_t lookahead_ = 0;       ///< Max outstanding submit events.
 
   cluster::Machine machine_;
   Engine engine_;
@@ -219,11 +210,8 @@ class Simulation final : public core::SchedulerContext,
   std::vector<BatchedEvent> batch_; ///< Pending observer records.
   std::vector<SimObserver*> observers_;             ///< add_observer order.
   std::vector<SimObserver*> chain_;                 ///< Full set during run().
-  std::int64_t submits_outstanding_ = 0;  ///< Scheduled, not yet popped.
   std::int64_t finished_ = 0;
   Time first_submit_ = 0;           ///< Submit of the first admitted job.
-  bool have_first_submit_ = false;
-  bool stream_done_ = false;
   Time last_end_ = 0;
   bool ran_ = false;
 };

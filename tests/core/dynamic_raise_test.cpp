@@ -4,8 +4,8 @@
 
 #include <cmath>
 
-#include "core/policy_factory.hpp"
 #include "testing/helpers.hpp"
+#include "testing/policy_factory.hpp"
 #include "util/error.hpp"
 
 namespace bsld::core {

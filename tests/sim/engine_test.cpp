@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace bsld::sim {
 namespace {
@@ -76,32 +84,77 @@ TEST(EngineTest, ProcessedCounter) {
   EXPECT_EQ(engine.pending(), 0u);
 }
 
-TEST(EngineTest, BucketTableGrowsAndShrinksWithLoad) {
-  Engine engine;
-  const std::size_t initial = engine.bucket_count();
-  // Push far past the grow threshold (load factor kTargetLoad per bucket);
-  // the calendar must widen its table.
-  for (int i = 0; i < 4096; ++i) {
-    engine.schedule({i, EventKind::kJobSubmit, 0, i});
+TEST(EngineTest, PopsMatchANaiveReferenceUnderRandomLoad) {
+  // Random interleavings of schedule and pop against an unsorted vector
+  // whose minimum is found by a linear scan: same-time ties across all
+  // three kinds, far-future times, and 0 to ~20k pending events. Each
+  // seed fills the queue to its target, churns at the plateau, then
+  // drains with occasional schedules mixed in.
+  using Key = std::tuple<Time, int, std::uint64_t>;
+  const auto key = [](const Event& event) {
+    return Key(event.time, static_cast<int>(event.kind), event.sequence);
+  };
+  const std::vector<std::pair<std::uint64_t, std::size_t>> cases{
+      {1, 64}, {2, 2000}, {3, 20000}};
+  for (const auto& [seed, target] : cases) {
+    util::Rng rng(seed);
+    Engine engine;
+    std::vector<Event> reference;
+    std::uint64_t sequence = 0;
+    JobId next_job = 0;
+
+    const auto schedule = [&] {
+      const double draw = rng.uniform();
+      Time delay = 0;  // Same-time tie with now().
+      if (draw < 0.3) {
+        delay = rng.uniform_int(0, 5);
+      } else if (draw < 0.55) {
+        delay = rng.uniform_int(0, 100000);
+      } else if (draw < 0.6) {
+        delay = 1'000'000'000'000 + rng.uniform_int(0, 1000);
+      }
+      const Event event{engine.now() + delay,
+                        static_cast<EventKind>(rng.uniform_int(0, 2)),
+                        sequence++, next_job++};
+      engine.schedule(event);
+      reference.push_back(event);
+    };
+    const auto pop = [&] {
+      const auto min = std::min_element(
+          reference.begin(), reference.end(),
+          [&](const Event& a, const Event& b) { return key(a) < key(b); });
+      const Event expected = *min;
+      *min = reference.back();
+      reference.pop_back();
+      const std::optional<Event> event = engine.pop();
+      ASSERT_TRUE(event.has_value());
+      ASSERT_EQ(key(*event), key(expected)) << "seed " << seed;
+      ASSERT_EQ(event->job, expected.job) << "seed " << seed;
+      ASSERT_EQ(engine.now(), expected.time);
+    };
+    const auto step = [&](double schedule_share) {
+      if (reference.empty() || rng.bernoulli(schedule_share)) {
+        schedule();
+      } else {
+        pop();
+      }
+      ASSERT_EQ(engine.pending(), reference.size());
+    };
+
+    const auto failed = [] { return ::testing::Test::HasFatalFailure(); };
+    while (reference.size() < target && !failed()) step(0.85);
+    for (int i = 0; i < 2000 && !failed(); ++i) step(0.5);
+    while (!reference.empty() && !failed()) step(0.05);
+    if (failed()) return;
+    EXPECT_TRUE(engine.empty());
+    EXPECT_FALSE(engine.pop().has_value());
+    EXPECT_EQ(engine.processed(), sequence);
   }
-  EXPECT_GT(engine.bucket_count(), initial);
-  // Drain back to nearly empty: the table must shrink again (capped at
-  // the minimum size), and every event must come out in order.
-  Time last = 0;
-  std::size_t drained = 0;
-  while (const auto event = engine.pop()) {
-    EXPECT_GE(event->time, last);
-    last = event->time;
-    ++drained;
-  }
-  EXPECT_EQ(drained, 4096u);
-  EXPECT_EQ(engine.bucket_count(), initial);
 }
 
 TEST(EngineTest, FarFutureEventsSurviveRebuckets) {
-  // A sparse horizon (events eons apart) exercises the overflow/rebuild
-  // path: bucket widths are derived from the current span, so a far-future
-  // event must neither be lost nor reordered.
+  // A sparse horizon (events eons apart): a far-future event must neither
+  // be lost nor reordered.
   Engine engine;
   engine.schedule({5, EventKind::kJobSubmit, 0, 1});
   engine.schedule({1'000'000'000'000, EventKind::kJobEnd, 0, 2});
@@ -116,8 +169,8 @@ TEST(EngineTest, FarFutureEventsSurviveRebuckets) {
 }
 
 TEST(EngineTest, DenseTiesBeyondOneSegmentStayFifo) {
-  // More same-(time, kind) events than one bucket segment holds (kSlot)
-  // forces segment spills; FIFO order must survive them.
+  // Many same-(time, kind) events pop in schedule order: the sequence
+  // tie-break, not heap layout, decides.
   Engine engine;
   for (JobId id = 0; id < 200; ++id) {
     engine.schedule({42, EventKind::kJobSubmit, 0, id});

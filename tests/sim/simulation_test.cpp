@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/arena.hpp"
 #include "testing/helpers.hpp"
 #include "util/error.hpp"
 
@@ -163,18 +162,13 @@ TEST_F(SimulationTest, EventCountIsTwoPerJob) {
   EXPECT_EQ(result.events_processed, 4u);
 }
 
-TEST_F(SimulationTest, ArenaRecyclesEngineStorageAcrossRuns) {
+TEST_F(SimulationTest, RepeatedRunsAreIdentical) {
   const wl::Workload load =
       workload(4, {job(1, 0, 100, 200, 2), job(2, 10, 50, 60, 1)});
-  // First run primes the thread-local arena; each later Simulation must
-  // hand its engine slabs back so the next one starts warm instead of
-  // re-allocating, and results must be identical run over run.
+  // Runs on one thread share no state: results are identical run over run.
   const auto first = testing::run(load, models_);
-  ASSERT_TRUE(RunArena::local().engine_warm());
-  const std::uint64_t recycles = RunArena::local().engine_recycles();
   const auto second = testing::run(load, models_);
   const auto third = testing::run(load, models_);
-  EXPECT_EQ(RunArena::local().engine_recycles(), recycles + 2);
   ASSERT_EQ(second.jobs.size(), first.jobs.size());
   for (std::size_t i = 0; i < first.jobs.size(); ++i) {
     EXPECT_EQ(second.jobs[i].start, first.jobs[i].start);
@@ -184,11 +178,11 @@ TEST_F(SimulationTest, ArenaRecyclesEngineStorageAcrossRuns) {
   EXPECT_DOUBLE_EQ(third.avg_bsld, first.avg_bsld);
 }
 
-TEST_F(SimulationTest, ResultsAreIndependentOfTheLookahead) {
-  // The pump's bounded window must pop the exact event sequence at every
-  // lookahead, down to a single outstanding submit. The schedule is pinned
-  // to the one the simulator produced when it still admitted the whole
-  // trace up front: job 4 starts beside job 3 once job 2 ends.
+TEST_F(SimulationTest, OneOutstandingSubmitReproducesThePinnedSchedule) {
+  // Pulling the stream one submit at a time must pop the exact event
+  // sequence of admitting the whole trace up front. The schedule is pinned
+  // to the one the simulator produced when it still did the latter: job 4
+  // starts beside job 3 once job 2 ends.
   const wl::Workload load = workload(
       4, {job(1, 0, 1000, 1200, 4), job(2, 10, 500, 600, 4),
           job(3, 20, 100, 150, 1), job(4, 1200, 50, 80, 2)});
@@ -200,22 +194,16 @@ TEST_F(SimulationTest, ResultsAreIndependentOfTheLookahead) {
   const std::vector<Pinned> pinned{
       {1, 0, 1000}, {2, 1000, 1500}, {3, 1500, 1600}, {4, 1500, 1550}};
 
-  for (const std::int64_t lookahead : {1, 2, 3, 100, 4096}) {
-    SimulationConfig config;
-    config.submit_lookahead = lookahead;
-    const auto result =
-        testing::run(load, models_, core::BasePolicy::kEasy, std::nullopt,
-                     "FirstFit", config);
-    EXPECT_EQ(result.events_processed, 8u) << lookahead;
-    EXPECT_EQ(result.avg_bsld, 1.7791666666666668) << lookahead;
-    EXPECT_EQ(result.makespan, 1600) << lookahead;
-    ASSERT_EQ(result.jobs.size(), pinned.size());
-    for (std::size_t i = 0; i < pinned.size(); ++i) {
-      EXPECT_EQ(result.jobs[i].id, pinned[i].id);
-      EXPECT_EQ(result.jobs[i].start, pinned[i].start) << lookahead;
-      EXPECT_EQ(result.jobs[i].end, pinned[i].end) << lookahead;
-      EXPECT_EQ(result.jobs[i].gear, models_.gears.top_index());
-    }
+  const auto result = testing::run(load, models_);
+  EXPECT_EQ(result.events_processed, 8u);
+  EXPECT_EQ(result.avg_bsld, 1.7791666666666668);
+  EXPECT_EQ(result.makespan, 1600);
+  ASSERT_EQ(result.jobs.size(), pinned.size());
+  for (std::size_t i = 0; i < pinned.size(); ++i) {
+    EXPECT_EQ(result.jobs[i].id, pinned[i].id);
+    EXPECT_EQ(result.jobs[i].start, pinned[i].start);
+    EXPECT_EQ(result.jobs[i].end, pinned[i].end);
+    EXPECT_EQ(result.jobs[i].gear, models_.gears.top_index());
   }
 }
 
@@ -226,21 +214,15 @@ TEST_F(SimulationTest, StreamingRunReportsWindowBoundedPeak) {
     jobs.push_back(job(i + 1, i * 100, 50, 60, 4));
   }
   const wl::Workload load = workload(4, std::move(jobs));
-  for (const std::int64_t lookahead : {2, 64}) {
-    SimulationConfig config;
-    config.submit_lookahead = lookahead;
-    const auto result =
-        testing::run(load, models_, core::BasePolicy::kEasy, std::nullopt,
-                     "FirstFit", config);
-    EXPECT_EQ(result.job_count, 300);
-    EXPECT_EQ(result.avg_bsld, 1.0);
-    EXPECT_EQ(result.makespan, 29950);
-    // Resident: the lookahead's unsubmitted jobs, the one running job, and
-    // the finished jobs awaiting the next 128-record flush (each job
-    // pushes three records: submit, start, finish).
-    EXPECT_GT(result.peak_live_jobs, 0);
-    EXPECT_LE(result.peak_live_jobs, lookahead + 1 + 128 / 3) << lookahead;
-  }
+  const auto result = testing::run(load, models_);
+  EXPECT_EQ(result.job_count, 300);
+  EXPECT_EQ(result.avg_bsld, 1.0);
+  EXPECT_EQ(result.makespan, 29950);
+  // Resident: the next, not yet submitted job, the one running job, and
+  // the finished jobs awaiting the next 128-record flush (each job pushes
+  // three records: submit, start, finish).
+  EXPECT_GT(result.peak_live_jobs, 0);
+  EXPECT_LE(result.peak_live_jobs, 1 + 1 + 128 / 3);
 }
 
 /// Emits a full observer batch from inside every start decision, the way a
@@ -286,11 +268,9 @@ TEST_F(SimulationTest, StreamingRejectsUnsortedStreams) {
   const auto policy =
       core::make_policy(core::BasePolicy::kEasy, std::nullopt, "FirstFit");
   wl::VectorJobStream stream(unsorted);
-  SimulationConfig config;
-  config.submit_lookahead = 1;
-  EXPECT_THROW((void)run_simulation(stream, *policy, models_.power,
-                                    models_.time, config),
-               Error);
+  EXPECT_THROW(
+      (void)run_simulation(stream, *policy, models_.power, models_.time),
+      Error);
 }
 
 }  // namespace

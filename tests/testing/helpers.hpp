@@ -9,11 +9,11 @@
 #include <vector>
 
 #include "cluster/gears.hpp"
-#include "core/policy_factory.hpp"
 #include "core/scheduler.hpp"
 #include "power/power_model.hpp"
 #include "power/time_model.hpp"
 #include "sim/simulation.hpp"
+#include "testing/policy_factory.hpp"
 #include "util/error.hpp"
 #include "workload/job.hpp"
 #include "workload/stream.hpp"

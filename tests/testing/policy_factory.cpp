@@ -1,4 +1,4 @@
-#include "core/policy_factory.hpp"
+#include "testing/policy_factory.hpp"
 
 #include "core/policy_registry.hpp"
 #include "util/error.hpp"

@@ -2,10 +2,10 @@
 /// \brief Convenience constructors wiring selectors, frequency assigners and
 /// base policies into the configurations the paper evaluates.
 ///
-/// These are enum-keyed compatibility wrappers over core::PolicyRegistry
-/// (policy_registry.hpp) — new code and anything driven by a serialized
-/// RunSpec should go through the registry's string-keyed PolicySpec
-/// directly, which is open to downstream-registered policies.
+/// Test-only, enum-keyed shorthands over core::PolicyRegistry
+/// (policy_registry.hpp). The library itself goes through the registry's
+/// string-keyed PolicySpec, which is open to downstream-registered
+/// policies.
 #pragma once
 
 #include <memory>
