@@ -1,5 +1,7 @@
 #include "cluster/profile.hpp"
 
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace bsld::cluster {
@@ -63,17 +65,6 @@ Time AvailabilityProfile::earliest_slot(std::int32_t size, Time duration,
   // Unreachable: after the last breakpoint the profile is back to full
   // capacity, so the last rising breakpoint (or `after`) always fits.
   throw Error("AvailabilityProfile: no slot found (invariant violation)");
-}
-
-std::vector<std::pair<Time, std::int32_t>> AvailabilityProfile::steps() const {
-  std::vector<std::pair<Time, std::int32_t>> out;
-  out.emplace_back(origin_, free_at(origin_));
-  std::int32_t free = capacity_;
-  for (const auto& [time, delta] : deltas_) {
-    free += delta;
-    if (time >= origin_) out.emplace_back(time, free);
-  }
-  return out;
 }
 
 }  // namespace bsld::cluster

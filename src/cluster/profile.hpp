@@ -10,7 +10,6 @@
 #pragma once
 
 #include <map>
-#include <vector>
 
 #include "util/types.hpp"
 
@@ -39,9 +38,6 @@ class AvailabilityProfile {
 
   [[nodiscard]] std::int32_t capacity() const { return capacity_; }
   [[nodiscard]] Time origin() const { return origin_; }
-
-  /// Breakpoints (time, free capacity from that time on), for tests.
-  [[nodiscard]] std::vector<std::pair<Time, std::int32_t>> steps() const;
 
  private:
   std::int32_t capacity_;

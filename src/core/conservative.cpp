@@ -26,7 +26,7 @@ std::string ConservativeBackfilling::name() const {
 }
 
 void ConservativeBackfilling::on_submit(SchedulerContext& ctx, JobId id) {
-  queue_.push(id);
+  queue_.push(id, ctx.job(id).size);
   schedule_pass(ctx);
 }
 
@@ -51,7 +51,8 @@ void ConservativeBackfilling::schedule_pass(SchedulerContext& ctx) {
 
     JobId to_start = kNoJob;
     GearIndex start_gear = 0;
-    for (const JobId id : queue_) {
+    for (const WaitQueue::Entry& entry : queue_) {
+      const JobId id = entry.id;
       const wl::Job& job = ctx.job(id);
       BSLD_REQUIRE(job.size <= machine.cpu_count(),
                    "ConservativeBackfilling: job larger than the machine");

@@ -1,7 +1,6 @@
 #include "core/easy.hpp"
 
 #include <bit>
-#include <iterator>
 #include <sstream>
 #include <vector>
 
@@ -34,7 +33,8 @@ std::size_t EasyBackfilling::wq_size_excluding(JobId self) const {
 }
 
 void EasyBackfilling::on_submit(SchedulerContext& ctx, JobId id) {
-  queue_.push(id);
+  const std::int32_t size = ctx.job(id).size;
+  queue_.push(id, size);
   if (queue_.size() == 1) {
     // The newcomer is the head: MakeJobReservation (start now or reserve).
     schedule_heads(ctx);
@@ -45,7 +45,9 @@ void EasyBackfilling::on_submit(SchedulerContext& ctx, JobId id) {
   // only the new job gets a backfill attempt.
   BSLD_REQUIRE(reservation_.active(),
                "EasyBackfilling: non-empty queue without a reservation");
-  try_backfill_one(ctx, id);
+  if (ctx.machine().free_now() >= size) {
+    try_backfill_one(ctx, queue_.size() - 1, wq_size_excluding(id));
+  }
 }
 
 void EasyBackfilling::on_job_end(SchedulerContext& ctx, JobId id) {
@@ -104,17 +106,25 @@ bool EasyBackfilling::schedule_heads(SchedulerContext& ctx) {
 }
 
 void EasyBackfilling::backfill_scan(SchedulerContext& ctx) {
-  // Copy the candidate ids: backfilled jobs are removed from the queue
-  // during the scan. FCFS order, head excluded (it owns the reservation).
-  candidates_.assign(std::next(queue_.begin()), queue_.end());
-  for (const JobId id : candidates_) try_backfill_one(ctx, id);
+  // FCFS order by position, head excluded (it owns the reservation). A
+  // backfill removes its entry, so the next candidate slides into `pos`.
+  // Every position below size() is queued, so each candidate's WQsize is
+  // size() - 1; the one membership check per pass is the head's.
+  BSLD_REQUIRE(queue_.head() == reservation_.job,
+               "EasyBackfilling: backfill scan without the head's reservation");
+  const cluster::Machine& machine = ctx.machine();
+  for (std::size_t pos = 1; pos < queue_.size();) {
+    const WaitQueue::Entry& entry = queue_[pos];
+    const bool skip = entry.closed || entry.size > machine.free_now();
+    if (skip || !try_backfill_one(ctx, pos, queue_.size() - 1)) ++pos;
+  }
 }
 
-bool EasyBackfilling::try_backfill_one(SchedulerContext& ctx, JobId id) {
+bool EasyBackfilling::try_backfill_one(SchedulerContext& ctx, std::size_t pos,
+                                       std::size_t wq_size) {
   const cluster::Machine& machine = ctx.machine();
+  const JobId id = queue_[pos].id;
   const wl::Job& job = ctx.job(id);
-  if (machine.free_now() < job.size) return false;  // cheap reject
-
   const Time now = ctx.now();
   const auto feasible = [&](GearIndex gear) {
     const Time end = now + job_scaled_duration(ctx, job, job.requested_time, gear);
@@ -127,8 +137,11 @@ bool EasyBackfilling::try_backfill_one(SchedulerContext& ctx, JobId id) {
   };
 
   const std::optional<GearIndex> gear =
-      assigner_->backfill_gear(ctx, job, feasible, wq_size_excluding(id));
-  if (!gear) return false;
+      assigner_->backfill_gear(ctx, job, feasible, wq_size);
+  if (!gear) {
+    queue_[pos].closed = assigner_->backfill_closed(ctx, job, now);
+    return false;
+  }
 
   const Time end = now + job_scaled_duration(ctx, job, job.requested_time, *gear);
   const bool selected = selector_->select_backfill(machine, job.size, end,
@@ -140,7 +153,7 @@ bool EasyBackfilling::try_backfill_one(SchedulerContext& ctx, JobId id) {
       if (!reservation_.contains(cpu)) --free_outside_reservation_;
     }
   }
-  queue_.remove(id);
+  queue_.remove_at(pos);
   ctx.start_job(id, cpus_, *gear);
   return true;
 }

@@ -14,6 +14,16 @@
 ///    recomputed from scratch);
 ///  * gear selection follows Fig. 1 (head path) and Fig. 2 (backfill path)
 ///    via the injected FrequencyAssigner.
+///
+/// Closed jobs: when a backfill candidate is refused and the assigner's
+/// backfill_closed() says it can never be accepted again, its queue entry
+/// is marked closed and later scans skip it without a context or assigner
+/// call. For BsldThresholdAssigner that is a job whose predicted BSLD
+/// already fails at Ftop: Ftop has the smallest coefficient (1.0 exactly)
+/// and the prediction only rises as the wait grows, so Fig. 2 refuses the
+/// job at every later time, gear, feasibility and WQsize. The mark changes
+/// nothing else: a closed job still counts in WQsize, still becomes the
+/// head and still starts through Fig. 1.
 #pragma once
 
 #include <memory>
@@ -43,18 +53,24 @@ class EasyBackfilling final : public SchedulingPolicy {
   [[nodiscard]] std::string name() const override;
 
  private:
-  /// Jobs waiting on execution other than `self` (WQsize of the paper).
+  /// Jobs waiting on execution other than `self` (WQsize of the paper);
+  /// throws when `self` is not queued.
   [[nodiscard]] std::size_t wq_size_excluding(JobId self) const;
 
   /// Starts queued head jobs while possible, then (re)builds the head
   /// reservation. Returns true when a reservation is active afterwards.
   bool schedule_heads(SchedulerContext& ctx);
 
-  /// One FCFS scan over the non-head queue attempting backfills.
+  /// One FCFS scan over the non-head queue attempting backfills. Skips
+  /// closed entries and entries larger than the free CPUs untouched.
   void backfill_scan(SchedulerContext& ctx);
 
-  /// BackfillJob(J) for a single candidate; true when it started.
-  bool try_backfill_one(SchedulerContext& ctx, JobId id);
+  /// BackfillJob(J) for the open entry at queue position `pos` (not the
+  /// head) that fits the free CPUs, with `wq_size` other jobs waiting.
+  /// Returns true when it started (and left the queue); marks the entry
+  /// closed when the assigner says it never can.
+  bool try_backfill_one(SchedulerContext& ctx, std::size_t pos,
+                        std::size_t wq_size);
 
   /// MakeJobReservation's immediate-start body for the current head.
   void start_head(SchedulerContext& ctx, JobId id);
@@ -67,7 +83,6 @@ class EasyBackfilling final : public SchedulingPolicy {
   /// Free CPUs outside the reserved set (maintained during backfill scans).
   std::int32_t free_outside_reservation_ = 0;
   std::vector<CpuId> cpus_;          ///< Selection buffer for every start.
-  std::vector<JobId> candidates_;    ///< backfill_scan's queue snapshot.
 };
 
 }  // namespace bsld::core

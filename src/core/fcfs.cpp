@@ -14,7 +14,7 @@ Fcfs::Fcfs(std::unique_ptr<cluster::ResourceSelector> selector,
 }
 
 void Fcfs::on_submit(SchedulerContext& ctx, JobId id) {
-  queue_.push(id);
+  queue_.push(id, ctx.job(id).size);
   drain(ctx);
 }
 

@@ -93,6 +93,13 @@ std::optional<GearIndex> BsldThresholdAssigner::backfill_gear(
   return top;
 }
 
+bool BsldThresholdAssigner::backfill_closed(const SchedulerContext& ctx,
+                                            const wl::Job& job,
+                                            Time now) const {
+  return config_.backfill_requires_bsld_at_top &&
+         !satisfies_bsld(ctx, job, now, ctx.time_model().gears().top_index());
+}
+
 std::string BsldThresholdAssigner::name() const {
   std::ostringstream os;
   os << "BSLD<=" << config_.bsld_threshold << ",WQ<=";

@@ -82,6 +82,20 @@ class FrequencyAssigner {
       util::FunctionRef<bool(GearIndex)> feasible,
       std::size_t wq_size) const = 0;
 
+  /// True only when backfill_gear returns nullopt for `job` at every time
+  /// >= `now`, whatever the feasibility and WQsize. A scheduler may then
+  /// stop offering the job for backfill; it still starts as a queue head.
+  /// False ("unknown") by default, so decorators that do not forward it
+  /// keep every retry.
+  [[nodiscard]] virtual bool backfill_closed(const SchedulerContext& ctx,
+                                             const wl::Job& job,
+                                             Time now) const {
+    (void)ctx;
+    (void)job;
+    (void)now;
+    return false;
+  }
+
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
@@ -110,6 +124,15 @@ class BsldThresholdAssigner final : public FrequencyAssigner {
       const SchedulerContext& ctx, const wl::Job& job,
       util::FunctionRef<bool(GearIndex)> feasible,
       std::size_t wq_size) const override;
+  /// With `backfill_requires_bsld_at_top` both Fig. 2 branches accept a
+  /// gear only if its predicted BSLD passes, so a job whose BSLD fails at
+  /// Ftop is closed: Coef(Ftop) == 1.0 is the smallest coefficient, and
+  /// max(1, (wait + req * coef) / max(req, Th)) only rises with the wait
+  /// (every IEEE step is monotone, so this holds bit for bit). Without the
+  /// flag the WQ-closed branch ignores BSLD and no job ever closes.
+  [[nodiscard]] bool backfill_closed(const SchedulerContext& ctx,
+                                     const wl::Job& job,
+                                     Time now) const override;
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] const DvfsConfig& config() const { return config_; }
