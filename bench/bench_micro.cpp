@@ -1,11 +1,12 @@
 /// \file bench_micro.cpp
 /// \brief google-benchmark microbenchmarks of the simulation substrate:
-/// event-engine throughput, allocation search, trace generation,
-/// end-to-end simulation rate per archive, sweep-grid throughput
-/// through report::SweepRunner (dedup off vs on), and the streaming
+/// event-engine throughput, allocation search, machine + selector churn,
+/// trace generation, end-to-end simulation rate per archive, sweep-grid
+/// throughput through report::SweepRunner (dedup off vs on), and the streaming
 /// pipeline (pull-path ingest rate and the million-job windowed run).
 #include <benchmark/benchmark.h>
 
+#include <deque>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -55,6 +56,44 @@ void BM_EarliestStart(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EarliestStart)->Arg(430)->Arg(1152)->Arg(9216);
+
+/// The machine + selector layer as EASY drives it: per iteration, a First
+/// Fit start of cpus/8 CPUs, the reservation mask for a head of half the
+/// machine and the release of the oldest running job, on a machine kept
+/// 3/4 to 7/8 busy with staggered expected ends.
+void BM_MachineChurn(benchmark::State& state) {
+  const auto cpus = static_cast<std::int32_t>(state.range(0));
+  const std::int32_t size = cpus / 8;
+  cluster::Machine machine(cpus);
+  const cluster::FirstFit fit;
+  util::Rng rng(11);
+  std::deque<std::pair<JobId, CpuId>> running;  // oldest first
+  std::vector<CpuId> list;
+  std::vector<std::uint64_t> mask;
+  JobId next = 1;
+  Time now = 0;
+  const auto start = [&] {
+    if (!fit.select_now(machine, size, now, nullptr, list)) {
+      state.SkipWithError("no free CPUs");
+      return;
+    }
+    machine.assign(next, list, now + rng.uniform_int(100, 10'000));
+    running.emplace_back(next++, list.front());
+  };
+  for (int i = 0; i < 6; ++i) start();
+  for (auto _ : state) {
+    start();
+    fit.reserve(machine, cpus / 2, machine.earliest_start(cpus / 2, now), now,
+                mask);
+    benchmark::DoNotOptimize(mask.data());
+    benchmark::ClobberMemory();
+    machine.release(running.front().first, running.front().second);
+    running.pop_front();
+    now += 10;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MachineChurn)->Arg(430)->Arg(9216);
 
 void BM_GenerateTrace(benchmark::State& state) {
   const auto archive = static_cast<wl::Archive>(state.range(0));

@@ -1,9 +1,11 @@
 /// \file allocation.hpp
 /// \brief The reservation value type shared by schedulers and resource
 /// selectors.
+///
+/// The reserved CPUs are a bitset in the machine's word layout, written a
+/// word at a time by ResourceSelector::reserve().
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -12,33 +14,23 @@
 namespace bsld::cluster {
 
 /// EASY backfilling reserves CPUs for the head of the wait queue: backfilled
-/// jobs must not delay `start` on the reserved `cpus`.
+/// jobs must not delay `start` on the reserved CPUs.
 struct Reservation {
   JobId job = kNoJob;
   Time start = kNoTime;
-  std::vector<CpuId> cpus;
-  /// Membership bitset: bit c % 64 of word c / 64 is set iff CPU c is
-  /// reserved. Sized to the machine by mark().
+  /// Bit c % 64 of word c / 64 is set iff CPU c is reserved. Written whole
+  /// by ResourceSelector::reserve(); meaningful only while active().
   std::vector<std::uint64_t> mask;
 
   [[nodiscard]] bool active() const { return job != kNoJob; }
   [[nodiscard]] bool contains(CpuId cpu) const {
     const auto word = static_cast<std::size_t>(cpu) / 64;
-    return word < mask.size() && ((mask[word] >> (cpu % 64)) & 1) != 0;
+    return active() && word < mask.size() &&
+           ((mask[word] >> (cpu % 64)) & 1) != 0;
   }
 
-  /// Sets the mask bits of `cpus` on a machine of `cpu_count` CPUs.
-  void mark(std::int32_t cpu_count) {
-    mask.resize(static_cast<std::size_t>(cpu_count + 63) / 64);
-    for (const CpuId cpu : cpus) {
-      mask[static_cast<std::size_t>(cpu) / 64] |= std::uint64_t{1} << (cpu % 64);
-    }
-  }
-
-  /// Drops the reservation but keeps its storage for the next one.
+  /// Drops the reservation but keeps the mask's storage for the next one.
   void clear() {
-    std::fill(mask.begin(), mask.end(), 0);
-    cpus.clear();
     job = kNoJob;
     start = kNoTime;
   }

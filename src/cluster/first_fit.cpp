@@ -32,38 +32,45 @@ bool take_bits(std::size_t words, std::int32_t size, WordFn word,
 }  // namespace
 
 template <bool kAscending>
-void Fit<kAscending>::select_at(const Machine& machine, std::int32_t size,
-                                Time start, Time now,
-                                std::vector<CpuId>& out) const {
-  const std::vector<std::uint64_t>& available =
-      machine.available_words(start, now);
-  if (!take_bits<kAscending>(
-          available.size(), size,
-          [&](std::size_t w) { return available[w]; }, out)) {
-    throw Error("ResourceSelector: not enough CPUs available at start time");
-  }
-}
-
-template <bool kAscending>
-bool Fit<kAscending>::select_backfill(const Machine& machine,
-                                      std::int32_t size, Time expected_end,
-                                      const Reservation* reservation,
-                                      std::vector<CpuId>& out) const {
+bool Fit<kAscending>::select_now(const Machine& machine, std::int32_t size,
+                                 Time expected_end,
+                                 const Reservation* reservation,
+                                 std::vector<CpuId>& out) const {
+  BSLD_REQUIRE(size >= 1 && size <= machine.cpu_count(),
+               "ResourceSelector: size must be within [1, cpu_count]");
   const std::vector<std::uint64_t>& free = machine.free_words();
-  const bool respects_shadow =
-      reservation == nullptr || !reservation->active() ||
-      expected_end <= reservation->start;
-  if (respects_shadow) {
-    return take_bits<kAscending>(
-        free.size(), size, [&](std::size_t w) { return free[w]; }, out);
-  }
-  const std::vector<std::uint64_t>& reserved = reservation->mask;
+  // A job still running at the reserved start may not use reserved CPUs.
+  const bool crosses = reservation != nullptr && reservation->active() &&
+                       expected_end > reservation->start;
   return take_bits<kAscending>(
       free.size(), size,
       [&](std::size_t w) {
-        return free[w] & ~(w < reserved.size() ? reserved[w] : 0);
+        return crosses ? free[w] & ~reservation->mask[w] : free[w];
       },
       out);
+}
+
+template <bool kAscending>
+void Fit<kAscending>::reserve(const Machine& machine, std::int32_t size,
+                              Time start, Time now,
+                              std::vector<std::uint64_t>& mask) const {
+  const std::vector<std::uint64_t>& available =
+      machine.available_words(start, now);
+  mask.resize(available.size());
+  std::int32_t need = size;
+  for (std::size_t i = 0; i < mask.size(); ++i) {
+    const std::size_t w = kAscending ? i : mask.size() - 1 - i;
+    std::uint64_t bits = need > 0 ? available[w] : 0;
+    // The partial word keeps the `need` bits at the selector's end.
+    for (int extra = std::popcount(bits) - need; extra > 0; --extra) {
+      bits &= kAscending ? ~std::bit_floor(bits) : bits - 1;
+    }
+    need -= std::popcount(bits);
+    mask[w] = bits;
+  }
+  BSLD_REQUIRE(size >= 1 && need == 0,
+               "ResourceSelector: size must be within [1, CPUs available "
+               "by start]");
 }
 
 template class Fit<true>;

@@ -5,10 +5,10 @@
 /// pluggable, mirroring Alvio's scheduling-policy / resource-selection
 /// split.
 ///
-/// Both selectors walk the machine's CPU bitsets a word at a time, so a
-/// selection costs O(size + cpus / 64) (plus, for a future start, the CPUs
-/// of the jobs expected to end by then) and never allocates once the
-/// caller's output vector has grown.
+/// Both choices walk the machine's CPU bitsets a word at a time and never
+/// allocate once grown: select_now() lists a starting job's CPUs in O(size
+/// + cpus / 64); reserve() writes a future start's CPUs into a mask, whole
+/// words while the count allows, in O(cpus / 64 + words ending by then).
 #pragma once
 
 #include <memory>
@@ -25,21 +25,21 @@ class ResourceSelector {
  public:
   virtual ~ResourceSelector() = default;
 
-  /// Replaces `out` with `size` CPUs all available by `start` (>= now; per
-  /// Machine::available_words). Called by findAllocation once the start
-  /// time is known. Throws bsld::Error when fewer than `size` CPUs qualify.
-  virtual void select_at(const Machine& machine, std::int32_t size,
-                         Time start, Time now,
-                         std::vector<CpuId>& out) const = 0;
+  /// Replaces `out` with `size` CPUs free now; with an active `reservation`
+  /// starting before `expected_end`, only CPUs outside it qualify.
+  /// `reservation` may be null. Returns false, leaving `out` short, when
+  /// too few qualify; throws bsld::Error unless 1 <= size <= cpu_count.
+  [[nodiscard]] virtual bool select_now(const Machine& machine,
+                                        std::int32_t size, Time expected_end,
+                                        const Reservation* reservation,
+                                        std::vector<CpuId>& out) const = 0;
 
-  /// Backfill selection: replaces `out` with `size` CPUs that are free
-  /// *now* and whose use until `expected_end` cannot delay `reservation` (a
-  /// CPU inside the reservation may only be used when expected_end <=
-  /// reservation->start). Returns false, leaving `out` short, when
-  /// impossible. `reservation` may be null.
-  [[nodiscard]] virtual bool select_backfill(
-      const Machine& machine, std::int32_t size, Time expected_end,
-      const Reservation* reservation, std::vector<CpuId>& out) const = 0;
+  /// Sets `mask` (resized to the machine's words) to the `size` preferred
+  /// CPUs among those available by `start` (>= now; per
+  /// Machine::available_words). Throws bsld::Error when fewer qualify or
+  /// size is outside [1, cpu_count].
+  virtual void reserve(const Machine& machine, std::int32_t size, Time start,
+                       Time now, std::vector<std::uint64_t>& mask) const = 0;
 
   /// Human-readable policy name.
   [[nodiscard]] virtual std::string name() const = 0;
@@ -53,12 +53,12 @@ class ResourceSelector {
 template <bool kAscending>
 class Fit final : public ResourceSelector {
  public:
-  void select_at(const Machine& machine, std::int32_t size, Time start,
-                 Time now, std::vector<CpuId>& out) const override;
-  [[nodiscard]] bool select_backfill(const Machine& machine,
-                                     std::int32_t size, Time expected_end,
-                                     const Reservation* reservation,
-                                     std::vector<CpuId>& out) const override;
+  [[nodiscard]] bool select_now(const Machine& machine, std::int32_t size,
+                                Time expected_end,
+                                const Reservation* reservation,
+                                std::vector<CpuId>& out) const override;
+  void reserve(const Machine& machine, std::int32_t size, Time start,
+               Time now, std::vector<std::uint64_t>& mask) const override;
   [[nodiscard]] std::string name() const override {
     return kAscending ? "FirstFit" : "LastFit";
   }

@@ -1,7 +1,7 @@
 #include "cluster/machine.hpp"
 
 #include <algorithm>
-#include <utility>
+#include <bit>
 
 namespace bsld::cluster {
 
@@ -26,7 +26,7 @@ Machine::Machine(std::int32_t cpu_count)
   BSLD_REQUIRE(cpu_count > 0, "Machine: cpu_count must be positive");
   free_.assign(word_of(cpu_count - 1) + 1, ~std::uint64_t{0});
   if (cpu_count % kWordBits != 0) free_.back() = bit_of(cpu_count) - 1;
-  next_.assign(static_cast<std::size_t>(cpu_count), -1);
+  segments_.resize(static_cast<std::size_t>(cpu_count));
 }
 
 Time Machine::earliest_start(std::int32_t size, Time now) const {
@@ -53,10 +53,7 @@ const std::vector<std::uint64_t>& Machine::available_words(Time start,
   scratch_ = free_;
   for (const Running& r : by_end_) {
     if (std::max(r.expected_end, now + 1) > start) break;
-    for (CpuId cpu = r.first_cpu; cpu >= 0;
-         cpu = next_[static_cast<std::size_t>(cpu)]) {
-      scratch_[word_of(cpu)] |= bit_of(cpu);
-    }
+    for_each_segment(r, [&](const Segment& s) { scratch_[s.word] |= s.bits; });
   }
   return scratch_;
 }
@@ -65,7 +62,7 @@ std::size_t Machine::find(JobId job, CpuId first_cpu) const {
   const auto it = std::find_if(by_end_.begin(), by_end_.end(),
                                [job](const Running& r) { return r.job == job; });
   BSLD_REQUIRE(it != by_end_.end() && it->first_cpu == first_cpu,
-               "Machine: CPU is not the first CPU of that running job");
+               "Machine: CPU is not the handle of that running job");
   return static_cast<std::size_t>(it - by_end_.begin());
 }
 
@@ -88,11 +85,12 @@ void Machine::reindex(std::size_t from) {
 
 void Machine::held_cpus(JobId job, CpuId first_cpu,
                         std::vector<CpuId>& out) const {
-  (void)find(job, first_cpu);
-  for (CpuId cpu = first_cpu; cpu >= 0;
-       cpu = next_[static_cast<std::size_t>(cpu)]) {
-    out.push_back(cpu);
-  }
+  for_each_segment(by_end_[find(job, first_cpu)], [&](const Segment& s) {
+    for (std::uint64_t bits = s.bits; bits != 0; bits &= bits - 1) {
+      out.push_back(static_cast<CpuId>(s.word) * kWordBits +
+                    std::countr_zero(bits));
+    }
+  });
 }
 
 void Machine::assign(JobId job, const std::vector<CpuId>& cpus,
@@ -102,21 +100,44 @@ void Machine::assign(JobId job, const std::vector<CpuId>& cpus,
   BSLD_REQUIRE(std::none_of(by_end_.begin(), by_end_.end(),
                             [job](const Running& r) { return r.job == job; }),
                "Machine: job is already running");
-  // Claim CPU by CPU so a CPU listed twice is caught too; a failed claim
-  // hands the earlier ones back, leaving the machine untouched.
-  for (std::size_t i = 0; i < cpus.size(); ++i) {
-    if (!is_free(cpus[i])) {
-      for (std::size_t j = 0; j < i; ++j) free_[word_of(cpus[j])] |= bit_of(cpus[j]);
+  // Group the list into one-word runs, then claim run by run. A CPU repeated
+  // within a run is caught while grouping, one repeated across runs by its
+  // claim; a failed claim hands the earlier runs back.
+  claim_.clear();
+  for (const CpuId cpu : cpus) {
+    BSLD_REQUIRE(cpu >= 0 && cpu < cpu_count_, "Machine: cpu out of range");
+    if (claim_.empty() || claim_.back().word != word_of(cpu)) {
+      claim_.push_back({0, static_cast<std::uint32_t>(word_of(cpu))});
+    }
+    BSLD_REQUIRE((claim_.back().bits & bit_of(cpu)) == 0,
+                 "Machine: CPU listed twice");
+    claim_.back().bits |= bit_of(cpu);
+  }
+  for (std::size_t i = 0; i < claim_.size(); ++i) {
+    std::uint64_t& free = free_[claim_[i].word];
+    if ((free & claim_[i].bits) != claim_[i].bits) {
+      for (std::size_t j = 0; j < i; ++j) free_[claim_[j].word] |= claim_[j].bits;
       throw Error("Machine: CPU already busy (oversubscription)");
     }
-    free_[word_of(cpus[i])] &= ~bit_of(cpus[i]);
+    free &= ~claim_[i].bits;
   }
-  for (std::size_t i = 0; i + 1 < cpus.size(); ++i) {
-    next_[static_cast<std::size_t>(cpus[i])] = cpus[i + 1];
+  // Chain the runs ascending by word (from the back), merging equal words.
+  std::sort(claim_.begin(), claim_.end(),
+            [](const Segment& a, const Segment& b) { return a.word < b.word; });
+  CpuId head = -1;
+  for (std::size_t i = claim_.size(); i-- > 0;) {
+    Segment run = claim_[i];
+    if (head >= 0 && word_of(head) == run.word) {
+      run.bits |= segments_[static_cast<std::size_t>(head)].bits;
+      head = segments_[static_cast<std::size_t>(head)].next;
+    }
+    run.next = head;
+    head = static_cast<CpuId>(run.word) * kWordBits + std::countr_zero(run.bits);
+    segments_[static_cast<std::size_t>(head)] = run;
   }
   const auto count = static_cast<std::int32_t>(cpus.size());
   free_now_ -= count;
-  reindex(insert(Running{expected_end, job, cpus.front(), count, 0}));
+  reindex(insert(Running{expected_end, job, cpus.front(), count, 0, head}));
 }
 
 void Machine::update_expected_end(JobId job, CpuId first_cpu,
@@ -130,11 +151,8 @@ void Machine::update_expected_end(JobId job, CpuId first_cpu,
 
 void Machine::release(JobId job, CpuId first_cpu) {
   const std::size_t index = find(job, first_cpu);
-  for (CpuId cpu = first_cpu; cpu >= 0;) {
-    const auto slot = static_cast<std::size_t>(cpu);
-    free_[word_of(cpu)] |= bit_of(cpu);
-    cpu = std::exchange(next_[slot], -1);
-  }
+  for_each_segment(by_end_[index],
+                   [&](const Segment& s) { free_[s.word] |= s.bits; });
   free_now_ += by_end_[index].cpus;
   by_end_.erase(by_end_.begin() + static_cast<std::ptrdiff_t>(index));
   reindex(index);

@@ -77,7 +77,9 @@ void ConservativeBackfilling::schedule_pass(SchedulerContext& ctx) {
 
     if (to_start == kNoJob) return;
     const wl::Job& job = ctx.job(to_start);
-    selector_->select_at(machine, job.size, now, now, cpus_);
+    BSLD_REQUIRE(
+        selector_->select_now(machine, job.size, kNoTime, nullptr, cpus_),
+        "ConservativeBackfilling: no free CPUs for a planned start");
     queue_.remove(to_start);
     ctx.start_job(to_start, cpus_, start_gear);
   }

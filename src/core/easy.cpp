@@ -67,7 +67,9 @@ void EasyBackfilling::start_head(SchedulerContext& ctx, JobId id) {
   const wl::Job& job = ctx.job(id);
   const GearIndex gear = assigner_->reservation_gear(
       ctx, job, ctx.now(), wq_size_excluding(id));
-  selector_->select_at(ctx.machine(), job.size, ctx.now(), ctx.now(), cpus_);
+  const bool selected = selector_->select_now(ctx.machine(), job.size,
+                                             kNoTime, nullptr, cpus_);
+  BSLD_REQUIRE(selected, "EasyBackfilling: head started without free CPUs");
   queue_.pop_head();
   ctx.start_job(id, cpus_, gear);
 }
@@ -92,9 +94,7 @@ bool EasyBackfilling::schedule_heads(SchedulerContext& ctx) {
     // (DESIGN.md §4 decision 4).
     reservation_.job = head;
     reservation_.start = start;
-    selector_->select_at(machine, job.size, start, ctx.now(),
-                         reservation_.cpus);
-    reservation_.mark(machine.cpu_count());
+    selector_->reserve(machine, job.size, start, ctx.now(), reservation_.mask);
     free_outside_reservation_ = 0;
     const std::vector<std::uint64_t>& free = machine.free_words();
     for (std::size_t w = 0; w < free.size(); ++w) {
@@ -128,7 +128,7 @@ bool EasyBackfilling::try_backfill_one(SchedulerContext& ctx, std::size_t pos,
   const Time now = ctx.now();
   const auto feasible = [&](GearIndex gear) {
     const Time end = now + job_scaled_duration(ctx, job, job.requested_time, gear);
-    if (reservation_.active() && end > reservation_.start) {
+    if (end > reservation_.start) {
       // Would still hold CPUs at the reserved start: only CPUs outside the
       // reservation qualify.
       return free_outside_reservation_ >= job.size;
@@ -144,14 +144,12 @@ bool EasyBackfilling::try_backfill_one(SchedulerContext& ctx, std::size_t pos,
   }
 
   const Time end = now + job_scaled_duration(ctx, job, job.requested_time, *gear);
-  const bool selected = selector_->select_backfill(machine, job.size, end,
-                                                   reservation(), cpus_);
+  const bool selected =
+      selector_->select_now(machine, job.size, end, &reservation_, cpus_);
   BSLD_REQUIRE(selected,
                "EasyBackfilling: selector disagreed with feasibility counters");
-  if (reservation_.active()) {
-    for (const CpuId cpu : cpus_) {
-      if (!reservation_.contains(cpu)) --free_outside_reservation_;
-    }
+  for (const CpuId cpu : cpus_) {
+    if (!reservation_.contains(cpu)) --free_outside_reservation_;
   }
   queue_.remove_at(pos);
   ctx.start_job(id, cpus_, *gear);

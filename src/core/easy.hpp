@@ -65,8 +65,8 @@ class EasyBackfilling final : public SchedulingPolicy {
   /// closed entries and entries larger than the free CPUs untouched.
   void backfill_scan(SchedulerContext& ctx);
 
-  /// BackfillJob(J) for the open entry at queue position `pos` (not the
-  /// head) that fits the free CPUs, with `wq_size` other jobs waiting.
+  /// BackfillJob(J), under the head's reservation, for the open entry at
+  /// position `pos` > 0 that fits the free CPUs, with `wq_size` others waiting.
   /// Returns true when it started (and left the queue); marks the entry
   /// closed when the assigner says it never can.
   bool try_backfill_one(SchedulerContext& ctx, std::size_t pos,

@@ -33,7 +33,9 @@ void Fcfs::drain(SchedulerContext& ctx) {
     if (machine.free_now() < job.size) return;
     const GearIndex gear = assigner_->reservation_gear(
         ctx, job, ctx.now(), queue_.size() - 1);
-    selector_->select_at(machine, job.size, ctx.now(), ctx.now(), cpus_);
+    BSLD_REQUIRE(
+        selector_->select_now(machine, job.size, kNoTime, nullptr, cpus_),
+        "Fcfs: selector disagreed with the free-CPU count");
     queue_.pop_head();
     ctx.start_job(head, cpus_, gear);
   }

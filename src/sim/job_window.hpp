@@ -34,13 +34,13 @@
 namespace bsld::sim {
 
 /// Live state of an executing job, valid while `running` is set. The CPU
-/// list lives in the machine, reached from the job's first CPU — no per-job
+/// set lives in the machine, reached through the job's first CPU — no per-job
 /// heap allocation. Energy is accounted per gear segment so mid-flight gear
 /// raises stay exact; remaining work is tracked in top-gear seconds
 /// (running at gear g consumes 1/Coef(g) top-seconds of work per wall
 /// second).
 struct RunningRec {
-  CpuId first_cpu = 0;            ///< The job's CPU chain head.
+  CpuId first_cpu = 0;            ///< The job's machine handle.
   GearIndex gear = 0;
   GearIndex start_gear = 0;       ///< Gear engaged at start.
   Time segment_start = 0;         ///< When the current gear was engaged

@@ -2,11 +2,14 @@
 // First/Last Fit selectors against testing::NaiveMachine, a per-CPU scan
 // of the textbook definitions. Seeded random assign / release / re-time
 // sequences cover overrunning jobs (expected end below now + 1), equal
-// expected ends, size-1 and full-machine jobs and mid-run re-timing; after
-// every step each query must match the oracle exactly.
+// expected ends, size-1 and full-machine jobs, mid-run re-timing and
+// rejected assigns (out-of-range, repeated or busy CPUs); after every step
+// each query must match the oracle exactly: CPU lists from select_now(),
+// reservation masks from reserve(), each job's held CPUs (ascending).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "cluster/first_fit.hpp"
@@ -63,6 +66,28 @@ class MachineDifferentialTest : public ::testing::TestWithParam<std::int32_t> {
     oracle_.assign(job, free, end);
   }
 
+  /// An assign the machine must reject: free CPUs plus one out-of-range,
+  /// repeated or busy CPU at a random position. The oracle is not told.
+  void reject_assign() {
+    std::vector<CpuId> cpus;
+    for (CpuId cpu = 0; cpu < cpus_; ++cpu) {
+      if (oracle_.is_free(cpu) && rng_.uniform_int(0, 3) == 0) cpus.push_back(cpu);
+    }
+    std::shuffle(cpus.begin(), cpus.end(), rng_);
+    CpuId bad = cpus_ + static_cast<CpuId>(rng_.uniform_int(0, 100));
+    const std::int64_t kind = rng_.uniform_int(0, 2);
+    if (kind == 1 && !cpus.empty()) {
+      bad = cpus[static_cast<std::size_t>(
+          rng_.uniform_int(0, static_cast<std::int64_t>(cpus.size()) - 1))];
+    } else if (kind == 2 && oracle_.free_now() < cpus_) {
+      bad = oracle_.cpus_of(random_running()).back();
+    }
+    cpus.insert(cpus.begin() + rng_.uniform_int(
+                                   0, static_cast<std::int64_t>(cpus.size())),
+                bad);
+    EXPECT_THROW(machine_.assign(next_job_, cpus, random_end()), Error);
+  }
+
   JobId random_running() {
     const std::vector<JobId> running = oracle_.running();
     return running[static_cast<std::size_t>(
@@ -78,7 +103,7 @@ class MachineDifferentialTest : public ::testing::TestWithParam<std::int32_t> {
   void step() {
     const std::int32_t free = oracle_.free_now();
     const bool any_running = free < cpus_;
-    switch (rng_.uniform_int(0, 9)) {
+    switch (rng_.uniform_int(0, 10)) {
       case 0:
       case 1:
       case 2:
@@ -110,22 +135,37 @@ class MachineDifferentialTest : public ::testing::TestWithParam<std::int32_t> {
           return;
         }
         break;
+      case 9:
+        reject_assign();
+        return;
       default:
         break;
     }
     now_ += rng_.uniform_int(0, 200);
   }
 
-  void expect_select_at(const ResourceSelector& selector, bool ascending,
-                        std::int32_t size, Time start) {
-    const auto want = oracle_.select_at(size, start, now_, ascending);
+  /// The oracle's select_at set as a mask, or nullopt when too few qualify.
+  std::optional<std::vector<std::uint64_t>> oracle_mask(std::int32_t size,
+                                                        Time start,
+                                                        bool ascending) const {
+    const auto cpus = oracle_.select_at(size, start, now_, ascending);
+    if (!cpus.has_value()) return std::nullopt;
+    std::vector<std::uint64_t> mask(machine_.free_words().size(), 0);
+    for (const CpuId cpu : *cpus) {
+      mask[static_cast<std::size_t>(cpu) / 64] |= std::uint64_t{1} << (cpu % 64);
+    }
+    return mask;
+  }
+
+  void expect_reserve(const ResourceSelector& selector, bool ascending,
+                      std::int32_t size, Time start) {
+    const auto want = oracle_mask(size, start, ascending);
     if (want.has_value()) {
-      selector.select_at(machine_, size, start, now_, got_);
-      EXPECT_EQ(got_, *want) << selector.name() << " size " << size
-                             << " start " << start;
+      selector.reserve(machine_, size, start, now_, mask_);
+      EXPECT_EQ(mask_, *want) << selector.name() << " size " << size
+                              << " start " << start;
     } else {
-      EXPECT_THROW(selector.select_at(machine_, size, start, now_, got_),
-                   Error);
+      EXPECT_THROW(selector.reserve(machine_, size, start, now_, mask_), Error);
     }
   }
 
@@ -135,7 +175,7 @@ class MachineDifferentialTest : public ::testing::TestWithParam<std::int32_t> {
     const auto want =
         oracle_.select_backfill(size, end, reservation, ascending);
     const bool found =
-        selector.select_backfill(machine_, size, end, reservation, got_);
+        selector.select_now(machine_, size, end, reservation, got_);
     ASSERT_EQ(found, want.has_value()) << selector.name() << " size " << size;
     if (found) {
       EXPECT_EQ(got_, *want) << selector.name() << " size " << size;
@@ -145,9 +185,15 @@ class MachineDifferentialTest : public ::testing::TestWithParam<std::int32_t> {
   /// Every query against the oracle.
   void check() {
     ASSERT_EQ(machine_.free_now(), oracle_.free_now());
+    std::vector<std::uint64_t> free_words(machine_.free_words().size(), 0);
     for (CpuId cpu = 0; cpu < cpus_; ++cpu) {
       ASSERT_EQ(machine_.is_free(cpu), oracle_.is_free(cpu)) << "cpu " << cpu;
+      if (oracle_.is_free(cpu)) {
+        free_words[static_cast<std::size_t>(cpu) / 64] |= std::uint64_t{1}
+                                                          << (cpu % 64);
+      }
     }
+    ASSERT_EQ(machine_.free_words(), free_words);
     std::int32_t held = 0;
     for (const Machine::Running& entry : machine_.by_end()) {
       const std::vector<CpuId>& cpus = oracle_.cpus_of(entry.job);
@@ -155,7 +201,9 @@ class MachineDifferentialTest : public ::testing::TestWithParam<std::int32_t> {
       EXPECT_EQ(entry.cpus, static_cast<std::int32_t>(cpus.size()));
       got_.clear();
       machine_.held_cpus(entry.job, entry.first_cpu, got_);
-      EXPECT_EQ(got_, cpus);
+      std::vector<CpuId> sorted = cpus;
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(got_, sorted);
       held += entry.cpus;
     }
     EXPECT_EQ(held, cpus_ - machine_.free_now());
@@ -170,22 +218,25 @@ class MachineDifferentialTest : public ::testing::TestWithParam<std::int32_t> {
       ASSERT_EQ(start, oracle_.earliest_start(size, now_)) << "size " << size;
       EXPECT_GE(oracle_.available_by(start, now_), size);
       const Time later = now_ + rng_.uniform_int(0, 400);
-      expect_select_at(first_fit_, true, size, start);
-      expect_select_at(last_fit_, false, size, start);
-      expect_select_at(first_fit_, true, size, later);
-      expect_select_at(last_fit_, false, size, later);
+      expect_reserve(first_fit_, true, size, start);
+      expect_reserve(last_fit_, false, size, start);
+      expect_reserve(first_fit_, true, size, later);
+      expect_reserve(last_fit_, false, size, later);
     }
 
-    // An EASY-style reservation for a head of random size, reused across
-    // steps so a stale mask bit would show up as a mismatch.
+    // An EASY-style reservation for a head of random size by either
+    // selector, reused across steps so a stale mask bit would show up as a
+    // mismatch.
     reservation_.clear();
     const auto head = static_cast<std::int32_t>(rng_.uniform_int(1, cpus_));
     const Time shadow = machine_.earliest_start(head, now_);
     if (shadow > now_) {
       reservation_.job = kHeadJob;
       reservation_.start = shadow;
-      first_fit_.select_at(machine_, head, shadow, now_, reservation_.cpus);
-      reservation_.mark(cpus_);
+      const bool ascending = rng_.uniform_int(0, 1) == 0;
+      (ascending ? static_cast<const ResourceSelector&>(first_fit_) : last_fit_)
+          .reserve(machine_, head, shadow, now_, reservation_.mask);
+      ASSERT_EQ(reservation_.mask, oracle_mask(head, shadow, ascending));
     }
     const std::int32_t backfill =
         free > 0 ? static_cast<std::int32_t>(rng_.uniform_int(1, free)) : 1;
@@ -208,6 +259,7 @@ class MachineDifferentialTest : public ::testing::TestWithParam<std::int32_t> {
   const LastFit last_fit_;
   Reservation reservation_;
   std::vector<CpuId> got_;
+  std::vector<std::uint64_t> mask_;
   Time now_ = 1000;
   JobId next_job_ = 1;
 };

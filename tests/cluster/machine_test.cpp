@@ -27,7 +27,7 @@ TEST(MachineTest, AssignAndRelease) {
   EXPECT_TRUE(machine.is_free(1));
   std::vector<CpuId> held;
   machine.held_cpus(7, 2, held);
-  EXPECT_EQ(held, (std::vector<CpuId>{2, 0}));  // assign order
+  EXPECT_EQ(held, (std::vector<CpuId>{0, 2}));  // ascending
   EXPECT_EQ(machine.earliest_start(3, 100), 500);
   machine.release(7, 2);
   EXPECT_EQ(machine.free_now(), 4);
@@ -45,6 +45,50 @@ TEST(MachineTest, OversubscriptionRejected) {
   EXPECT_EQ(machine.free_now(), 3);
   for (CpuId cpu = 1; cpu < 4; ++cpu) EXPECT_TRUE(machine.is_free(cpu));
   EXPECT_EQ(machine.by_end().size(), 1U);
+}
+
+// A rejected assign must leave the machine exactly as it was, even when the
+// bad CPU comes after CPUs that were already claimed.
+TEST(MachineTest, FailedAssignLeavesStateUntouched) {
+  const std::vector<std::vector<CpuId>> rejected{
+      {0, 1, 128},     // out of range after valid CPUs
+      {0, 70, 0},      // repeated, not adjacent
+      {0, 70, 5, 100}  // busy CPU in the middle (held by job 1)
+  };
+  for (const std::vector<CpuId>& cpus : rejected) {
+    Machine machine(128);
+    machine.assign(1, {5, 6}, 300);
+    const std::vector<std::uint64_t> free = machine.free_words();
+    EXPECT_THROW(machine.assign(2, cpus, 500), Error);
+    EXPECT_EQ(machine.free_words(), free);
+    EXPECT_EQ(machine.free_now(), 126);
+    ASSERT_EQ(machine.by_end().size(), 1U);
+    EXPECT_EQ(machine.by_end()[0].job, 1);
+    EXPECT_EQ(machine.by_end()[0].cpus, 2);
+    machine.assign(2, {0, 1, 70, 100}, 500);
+    EXPECT_EQ(machine.free_now(), 122);
+    std::vector<CpuId> held;
+    machine.held_cpus(2, 0, held);
+    EXPECT_EQ(held, (std::vector<CpuId>{0, 1, 70, 100}));
+  }
+  Machine small(8);
+  EXPECT_THROW(small.assign(1, {0, 1, 8}, 100), Error);
+  EXPECT_EQ(small.free_now(), 8);
+  EXPECT_TRUE(small.is_free(0) && small.is_free(1));
+  small.assign(2, {0, 1}, 100);
+  EXPECT_EQ(small.free_now(), 6);
+}
+
+TEST(MachineTest, HeldCpusAscendAcrossWords) {
+  Machine machine(200);
+  machine.assign(1, {130, 2, 65, 1, 199, 64}, 100);  // Last-Fit-like order
+  std::vector<CpuId> held;
+  machine.held_cpus(1, 130, held);
+  EXPECT_EQ(held, (std::vector<CpuId>{1, 2, 64, 65, 130, 199}));
+  EXPECT_EQ(machine.free_now(), 194);
+  machine.release(1, 130);
+  EXPECT_EQ(machine.free_now(), 200);
+  for (CpuId cpu = 0; cpu < 200; ++cpu) EXPECT_TRUE(machine.is_free(cpu));
 }
 
 TEST(MachineTest, ReleaseWrongJobRejected) {

@@ -113,9 +113,7 @@ class NaiveMachine {
                          expected_end > reservation->start;
     return take(size, ascending, [&](CpuId cpu) {
       if (!is_free(cpu)) return false;
-      if (!crosses) return true;
-      const std::vector<CpuId>& reserved = reservation->cpus;
-      return std::find(reserved.begin(), reserved.end(), cpu) == reserved.end();
+      return !crosses || !reservation->contains(cpu);
     });
   }
 
