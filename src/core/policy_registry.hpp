@@ -10,13 +10,11 @@
 /// every entry point that consumes a report::RunSpec picks them up
 /// automatically.
 ///
-/// Registration must happen before experiment grids start executing (the
-/// registry is read concurrently by sweep worker threads; a shared mutex
-/// guards registration against lookup races).
+/// Each of the two tables is a util::Registry (util/registry.hpp), the same
+/// one behind pm::PowerManagerRegistry and sim::InstrumentRegistry:
+/// register before experiment grids start executing.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -26,7 +24,7 @@
 #include "core/dynamic_raise.hpp"
 #include "core/frequency.hpp"
 #include "util/config.hpp"
-#include "util/thread_annotations.hpp"
+#include "util/registry.hpp"
 
 namespace bsld::core {
 
@@ -53,72 +51,95 @@ struct PolicySpec {
   friend bool operator==(const PolicySpec&, const PolicySpec&) = default;
 };
 
-/// Name -> factory resolution for policies and frequency assigners.
+/// Name -> factory resolution for policies and frequency assigners: two
+/// util::Registry tables behind the policy/assigner-named methods.
 class PolicyRegistry {
+  using Policies = util::Registry<SchedulingPolicy, const PolicySpec&>;
+  using Assigners = util::Registry<FrequencyAssigner, const PolicySpec&>;
+
  public:
-  using PolicyFactory =
-      std::function<std::unique_ptr<SchedulingPolicy>(const PolicySpec&)>;
-  using AssignerFactory =
-      std::function<std::unique_ptr<FrequencyAssigner>(const PolicySpec&)>;
+  using PolicyFactory = Policies::Factory;
+  using AssignerFactory = Assigners::Factory;
 
   /// The process-wide registry, pre-loaded with the built-ins.
   static PolicyRegistry& global();
 
-  /// Registers a policy factory. Throws bsld::Error on a duplicate name.
-  void add_policy(const std::string& name, PolicyFactory factory);
-
-  /// Same, with a one-line description shown by `bsldsim --list-policies`.
+  /// Registers a policy factory, optionally with a one-line description
+  /// shown by `bsldsim --list-policies`. Throws bsld::Error on an empty or
+  /// duplicate name or a null factory.
+  void add_policy(const std::string& name, PolicyFactory factory) {
+    policies_.add(name, std::move(factory));
+  }
   void add_policy(const std::string& name, std::string description,
-                  PolicyFactory factory);
+                  PolicyFactory factory) {
+    policies_.add(name, std::move(description), std::move(factory));
+  }
 
-  /// Registers an assigner factory. Throws bsld::Error on a duplicate name.
-  void add_assigner(const std::string& name, AssignerFactory factory);
-
-  /// Same, with a one-line description shown by `bsldsim --list-policies`.
+  /// Same for frequency assigners.
+  void add_assigner(const std::string& name, AssignerFactory factory) {
+    assigners_.add(name, std::move(factory));
+  }
   void add_assigner(const std::string& name, std::string description,
-                    AssignerFactory factory);
+                    AssignerFactory factory) {
+    assigners_.add(name, std::move(description), std::move(factory));
+  }
 
-  [[nodiscard]] bool has_policy(const std::string& name) const;
-  [[nodiscard]] bool has_assigner(const std::string& name) const;
+  [[nodiscard]] bool has_policy(const std::string& name) const {
+    return policies_.has(name);
+  }
+  [[nodiscard]] bool has_assigner(const std::string& name) const {
+    return assigners_.has(name);
+  }
+
+  /// Throw bsld::Error when `name` is unknown, listing what is registered.
+  void require_policy(const std::string& name) const {
+    policies_.require(name);
+  }
+  void require_assigner(const std::string& name) const {
+    assigners_.require(name);
+  }
 
   /// Registered names in sorted order (for error messages and --help).
-  [[nodiscard]] std::vector<std::string> policy_names() const;
-  [[nodiscard]] std::vector<std::string> assigner_names() const;
+  [[nodiscard]] std::vector<std::string> policy_names() const {
+    return policies_.names();
+  }
+  [[nodiscard]] std::vector<std::string> assigner_names() const {
+    return assigners_.names();
+  }
 
   /// (name, description) pairs in sorted order; descriptions registered
   /// without one are empty.
   [[nodiscard]] std::vector<std::pair<std::string, std::string>>
-  policy_entries() const;
+  policy_entries() const {
+    return policies_.entries();
+  }
   [[nodiscard]] std::vector<std::pair<std::string, std::string>>
-  assigner_entries() const;
+  assigner_entries() const {
+    return assigners_.entries();
+  }
 
   /// Builds the policy `spec` describes (via resolved_name()). Throws
-  /// bsld::Error on unknown names, listing what is registered.
+  /// bsld::Error on unknown names, listing what is registered, and when
+  /// the factory returns null.
   [[nodiscard]] std::unique_ptr<SchedulingPolicy> make(
-      const PolicySpec& spec) const;
+      const PolicySpec& spec) const {
+    return policies_.make(spec.resolved_name(), spec);
+  }
 
   /// Builds the frequency assigner `spec` describes (via
-  /// resolved_assigner()). Throws bsld::Error on unknown names.
+  /// resolved_assigner()), with the same errors as make().
   [[nodiscard]] std::unique_ptr<FrequencyAssigner> make_assigner(
-      const PolicySpec& spec) const;
+      const PolicySpec& spec) const {
+    return assigners_.make(spec.resolved_assigner(), spec);
+  }
 
  private:
-  struct PolicyEntry {
-    std::string description;
-    PolicyFactory factory;
-  };
-  struct AssignerEntry {
-    std::string description;
-    AssignerFactory factory;
-  };
-
-  mutable util::SharedMutex mutex_;
-  std::map<std::string, PolicyEntry> policies_ BSLD_GUARDED_BY(mutex_);
-  std::map<std::string, AssignerEntry> assigners_ BSLD_GUARDED_BY(mutex_);
+  Policies policies_{"PolicyRegistry", "policy"};
+  Assigners assigners_{"PolicyRegistry", "assigner"};
 };
 
 /// Reads a PolicySpec from `policy.*` config keys (see policy_to_config).
-/// Validates the policy name against the global registry.
+/// Validates the policy and assigner names against the global registry.
 PolicySpec policy_from_config(const util::Config& config);
 
 /// Writes the canonical `policy.*` keys: name and selector always, DVFS

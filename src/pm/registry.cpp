@@ -3,7 +3,6 @@
 #include "pm/cap.hpp"
 #include "pm/setpoint.hpp"
 #include "pm/sleep.hpp"
-#include "util/error.hpp"
 
 namespace bsld::pm {
 
@@ -11,15 +10,6 @@ namespace {
 
 constexpr Time kDefaultIntervalS = 300;
 constexpr double kDefaultGain = 0.5;
-
-std::string join(const std::vector<std::string>& names) {
-  std::string out;
-  for (const std::string& name : names) {
-    if (!out.empty()) out += ", ";
-    out += name;
-  }
-  return out;
-}
 
 /// `pm=none`: a real manager whose hooks all default to no-ops, so the
 /// parity suite proves the hook plumbing itself is inert.
@@ -79,59 +69,10 @@ PowerManagerRegistry& PowerManagerRegistry::global() {
   return *registry;
 }
 
-void PowerManagerRegistry::add(const std::string& name,
-                               std::string description, Factory factory) {
-  const util::WriterLock lock(mutex_);
-  BSLD_REQUIRE(!entries_.contains(name),
-               "PowerManagerRegistry: `" + name + "` already registered");
-  entries_.emplace(name,
-                   Entry{std::move(description), std::move(factory)});
-}
-
-bool PowerManagerRegistry::has(const std::string& name) const {
-  const util::ReaderLock lock(mutex_);
-  return entries_.contains(name);
-}
-
-void PowerManagerRegistry::require(const std::string& name) const {
-  if (!has(name)) {
-    throw Error("PowerManagerRegistry: unknown power manager `" + name +
-                "` (registered: " + join(names()) + ")");
-  }
-}
-
-std::vector<std::string> PowerManagerRegistry::names() const {
-  const util::ReaderLock lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, _] : entries_) out.push_back(name);
-  return out;
-}
-
-std::vector<std::pair<std::string, std::string>>
-PowerManagerRegistry::entries() const {
-  const util::ReaderLock lock(mutex_);
-  std::vector<std::pair<std::string, std::string>> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) {
-    out.emplace_back(name, entry.description);
-  }
-  return out;
-}
-
 std::unique_ptr<PowerManager> PowerManagerRegistry::make(
     const PmSpec& spec, const power::PowerModel& model) const {
   validate(spec);
-  Factory factory;
-  {
-    const util::ReaderLock lock(mutex_);
-    const auto it = entries_.find(spec.name);
-    if (it != entries_.end()) factory = it->second.factory;
-  }
-  BSLD_REQUIRE(static_cast<bool>(factory),
-               "PowerManagerRegistry: unknown power manager `" + spec.name +
-                   "`");
-  return factory(spec, model);
+  return Registry::make(spec.name, spec, model);
 }
 
 }  // namespace bsld::pm

@@ -1,19 +1,8 @@
 #include "sim/instrument_registry.hpp"
 
-#include "util/error.hpp"
-
 namespace bsld::sim {
 
 namespace {
-
-std::string join(const std::vector<std::string>& names) {
-  std::string out;
-  for (const std::string& name : names) {
-    if (!out.empty()) out += ", ";
-    out += name;
-  }
-  return out;
-}
 
 void register_builtins(InstrumentRegistry& registry) {
   registry.add("jobs", "per-job outcomes in trace order (id, gears, wait, "
@@ -59,69 +48,6 @@ InstrumentRegistry& InstrumentRegistry::global() {
     return r;
   }();
   return *registry;
-}
-
-void InstrumentRegistry::add(const std::string& name, Factory factory) {
-  add(name, "", std::move(factory));
-}
-
-void InstrumentRegistry::add(const std::string& name, std::string description,
-                             Factory factory) {
-  BSLD_REQUIRE(!name.empty(), "InstrumentRegistry: empty instrument name");
-  BSLD_REQUIRE(factory != nullptr, "InstrumentRegistry: null factory");
-  const util::WriterLock lock(mutex_);
-  const auto [it, inserted] = factories_.emplace(
-      name, Entry{std::move(description), std::move(factory)});
-  (void)it;
-  BSLD_REQUIRE(inserted,
-               "InstrumentRegistry: instrument `" + name +
-                   "` is already registered");
-}
-
-bool InstrumentRegistry::has(const std::string& name) const {
-  const util::ReaderLock lock(mutex_);
-  return factories_.contains(name);
-}
-
-void InstrumentRegistry::require(const std::string& name) const {
-  BSLD_REQUIRE(has(name),
-               "InstrumentRegistry: unknown instrument `" + name +
-                   "` (registered: " + join(names()) + ")");
-}
-
-std::vector<std::string> InstrumentRegistry::names() const {
-  const util::ReaderLock lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, _] : factories_) out.push_back(name);
-  return out;
-}
-
-std::vector<std::pair<std::string, std::string>> InstrumentRegistry::entries()
-    const {
-  const util::ReaderLock lock(mutex_);
-  std::vector<std::pair<std::string, std::string>> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, entry] : factories_) {
-    out.emplace_back(name, entry.description);
-  }
-  return out;
-}
-
-std::unique_ptr<Instrument> InstrumentRegistry::make(
-    const std::string& name, const InstrumentContext& context) const {
-  Factory factory;
-  {
-    const util::ReaderLock lock(mutex_);
-    const auto it = factories_.find(name);
-    if (it != factories_.end()) factory = it->second.factory;
-  }
-  if (factory == nullptr) require(name);  // throws, listing the registry
-  auto instrument = factory(context);
-  BSLD_REQUIRE(instrument != nullptr,
-               "InstrumentRegistry: factory for `" + name +
-                   "` returned null");
-  return instrument;
 }
 
 }  // namespace bsld::sim

@@ -91,6 +91,40 @@ TEST(PolicyRegistryTest, DuplicateRegistrationThrows) {
                Error);
 }
 
+TEST(PolicyRegistryTest, AddRejectsEmptyNameAndNullFactory) {
+  PolicyRegistry registry;
+  const auto policy = [](const PolicySpec&) {
+    return std::unique_ptr<SchedulingPolicy>();
+  };
+  const auto assigner = [](const PolicySpec&) {
+    return std::unique_ptr<FrequencyAssigner>();
+  };
+  EXPECT_THROW(registry.add_policy("", policy), Error);
+  EXPECT_THROW(registry.add_policy("empty-fn", PolicyRegistry::PolicyFactory{}),
+               Error);
+  EXPECT_THROW(registry.add_assigner("", assigner), Error);
+  EXPECT_THROW(
+      registry.add_assigner("empty-fn", PolicyRegistry::AssignerFactory{}),
+      Error);
+  EXPECT_FALSE(registry.has_policy("empty-fn"));
+  EXPECT_FALSE(registry.has_assigner("empty-fn"));
+}
+
+TEST(PolicyRegistryTest, NullProductIsAnError) {
+  PolicyRegistry registry;
+  registry.add_policy("null", [](const PolicySpec&) {
+    return std::unique_ptr<SchedulingPolicy>();
+  });
+  registry.add_assigner("null", [](const PolicySpec&) {
+    return std::unique_ptr<FrequencyAssigner>();
+  });
+  PolicySpec spec;
+  spec.name = "null";
+  spec.assigner = "null";
+  EXPECT_THROW((void)registry.make(spec), Error);
+  EXPECT_THROW((void)registry.make_assigner(spec), Error);
+}
+
 TEST(PolicyRegistryTest, DownstreamPolicyPlugsIn) {
   // The open-world seam: register a policy under a new name and construct
   // it purely by name, as a serialized RunSpec would.
@@ -151,6 +185,21 @@ TEST(PolicyConfigTest, UnknownNameRejectedAtParse) {
   util::Config config;
   config.set("policy.name", "round-robin");
   EXPECT_THROW((void)policy_from_config(config), Error);
+}
+
+TEST(PolicyConfigTest, UnknownAssignerRejectedAtParse) {
+  util::Config config;
+  config.set("policy.assigner", "nope");
+  try {
+    (void)policy_from_config(config);
+    FAIL() << "expected bsld::Error";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("PolicyRegistry: unknown assigner `nope` "
+                        "(registered: bsld, ftop"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(PolicyLabelTest, DisplayForms) {

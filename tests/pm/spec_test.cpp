@@ -187,5 +187,43 @@ TEST(PmRegistry, RejectsDuplicateNames) {
       Error);
 }
 
+TEST(PmRegistry, RejectsEmptyNameAndNullFactory) {
+  PowerManagerRegistry registry;
+  EXPECT_THROW(registry.add("", "unnamed",
+                            [](const PmSpec&, const power::PowerModel&) {
+                              return std::unique_ptr<PowerManager>();
+                            }),
+               Error);
+  EXPECT_THROW(
+      registry.add("empty-fn", "no factory", PowerManagerRegistry::Factory{}),
+      Error);
+  EXPECT_TRUE(registry.names().empty());
+}
+
+TEST(PmRegistry, NullManagerIsAnErrorNotPmNone) {
+  // make() validates against the global registry, so the null factory has
+  // to live there.
+  PowerManagerRegistry& registry = PowerManagerRegistry::global();
+  if (!registry.has("test-null")) {
+    registry.add("test-null", "factory that returns null",
+                 [](const PmSpec&, const power::PowerModel&) {
+                   return std::unique_ptr<PowerManager>();
+                 });
+  }
+  const testing::Models models;
+  PmSpec spec;
+  spec.name = "test-null";
+  try {
+    (void)registry.make(spec, models.power);
+    FAIL() << "expected bsld::Error";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("PowerManagerRegistry: power manager `test-null` "
+                        "factory returned null"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 }  // namespace
 }  // namespace bsld::pm

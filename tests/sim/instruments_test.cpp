@@ -223,5 +223,23 @@ TEST(InstrumentRegistryTest, DownstreamRegistrationAndDuplicateRejection) {
                Error);
 }
 
+TEST(InstrumentRegistryTest, NullInstrumentIsAnError) {
+  Models models;
+  InstrumentRegistry registry;
+  registry.add("null", [](const InstrumentContext&) {
+    return std::unique_ptr<Instrument>();
+  });
+  try {
+    (void)registry.make("null", InstrumentContext{models.power, models.time});
+    FAIL() << "expected bsld::Error";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("InstrumentRegistry: instrument `null` factory "
+                        "returned null"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 }  // namespace
 }  // namespace bsld::sim
