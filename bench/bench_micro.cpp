@@ -3,7 +3,8 @@
 /// event-engine throughput, allocation search, machine + selector churn,
 /// trace generation, end-to-end simulation rate per archive, sweep-grid
 /// throughput through report::SweepRunner (dedup off vs on), and the streaming
-/// pipeline (pull-path ingest rate and the million-job windowed run).
+/// pipeline (pull-path ingest rate, SWF file ingest and the million-job
+/// windowed run).
 #include <benchmark/benchmark.h>
 
 #include <deque>
@@ -19,6 +20,7 @@
 #include "util/rng.hpp"
 #include "workload/source.hpp"
 #include "workload/stream.hpp"
+#include "workload/swf.hpp"
 #include "workload/synthetic.hpp"
 
 using namespace bsld;
@@ -291,6 +293,31 @@ void BM_StreamIngest(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * jobs);
 }
 BENCHMARK(BM_StreamIngest)->Arg(100'000)->Unit(benchmark::kMillisecond);
+
+/// SWF ingest rate: the same low-load trace written to a temp file once,
+/// then open_stream() over the file drained job by job — line split,
+/// field parse, the (submit, id) sort window and per-record cleaning.
+void BM_SwfIngest(benchmark::State& state) {
+  const auto jobs = static_cast<std::int64_t>(state.range(0));
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("bsld-bench-ingest-" + std::to_string(static_cast<long>(::getpid())) +
+       ".swf");
+  wl::save_swf_file(path.string(), wl::generate(low_load_spec(jobs), 11));
+  const wl::WorkloadSource source = wl::WorkloadSource::from_swf(path.string());
+  for (auto _ : state) {
+    const std::unique_ptr<wl::JobStream> stream = wl::open_stream(source);
+    while (std::optional<wl::Job> job = stream->next()) {
+      benchmark::DoNotOptimize(*job);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * jobs);
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_SwfIngest)
+    ->Arg(100'000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /// The headline scale case: one million jobs pulled through the streaming
 /// pipeline end to end — one outstanding submit, aggregate-only

@@ -94,6 +94,7 @@ util::Config RunSpec::to_config() const {
 }
 
 const std::string& RunSpec::key() const {
+  const util::ScopedLock lock(key_cache.mutex);
   if (key_cache.value.empty()) key_cache.value = to_config().to_string();
   return key_cache.value;
 }

@@ -37,6 +37,7 @@
 #include "sim/simulation.hpp"
 #include "util/config.hpp"
 #include "util/sampler.hpp"
+#include "util/thread_annotations.hpp"
 #include "workload/source.hpp"
 
 namespace bsld::report {
@@ -94,7 +95,7 @@ struct RunSpec {
   /// coalescing) pays the serialization once. Mutating a field after key()
   /// leaves the cache stale — treat a spec as frozen once it has been keyed
   /// (copy-assignment resets the copy's cache, so the common tweak-a-copy
-  /// pattern stays safe).
+  /// pattern stays safe). Safe to call from several threads at once.
   [[nodiscard]] const std::string& key() const;
 
   /// "CTC x1.2 EASY BSLD<=2,WQ<=0" — derived from the spec's components
@@ -106,7 +107,9 @@ struct RunSpec {
   /// key() memo. A distinct type so the defaulted operator== above ignores
   /// it (two specs are equal regardless of which has been keyed) and so
   /// copy-assignment drops the cached text instead of carrying it into a
-  /// copy that is about to be tweaked.
+  /// copy that is about to be tweaked. key() fills `value` under `mutex`,
+  /// so threads that key one shared spec concurrently agree on one text;
+  /// once filled it is never written again until the spec is assigned.
   struct KeyCache {
     KeyCache() = default;
     KeyCache(const KeyCache&) noexcept {}
@@ -114,8 +117,12 @@ struct RunSpec {
       value.clear();
       return *this;
     }
-    KeyCache(KeyCache&&) noexcept = default;
-    KeyCache& operator=(KeyCache&&) noexcept = default;
+    KeyCache(KeyCache&& other) noexcept : value(std::move(other.value)) {}
+    KeyCache& operator=(KeyCache&& other) noexcept {
+      value = std::move(other.value);
+      return *this;
+    }
+    mutable util::Mutex mutex;
     mutable std::string value;  ///< Empty = not yet computed.
     friend bool operator==(const KeyCache&, const KeyCache&) { return true; }
   };

@@ -125,13 +125,21 @@ double Rng::weibull(double shape, double scale) {
   return scale * std::pow(-std::log(u), 1.0 / shape);
 }
 
-std::size_t Rng::discrete(const std::vector<double>& weights) {
+double Rng::discrete_total(const std::vector<double>& weights) {
   double total = 0.0;
   for (double w : weights) {
     BSLD_REQUIRE(w >= 0.0, "discrete(): weights must be non-negative");
     total += w;
   }
   BSLD_REQUIRE(total > 0.0, "discrete(): at least one weight must be positive");
+  return total;
+}
+
+std::size_t Rng::discrete(const std::vector<double>& weights) {
+  return discrete(weights, discrete_total(weights));
+}
+
+std::size_t Rng::discrete(const std::vector<double>& weights, double total) {
   double target = uniform() * total;
   for (std::size_t i = 0; i < weights.size(); ++i) {
     target -= weights[i];

@@ -65,6 +65,13 @@ class Rng {
   /// Samples an index in [0, weights.size()) proportionally to weights.
   /// Requires at least one strictly positive weight.
   std::size_t discrete(const std::vector<double>& weights);
+  /// discrete(weights) for a loop that draws from one weight vector many
+  /// times: `total` must be discrete_total(weights), computed once. Draws
+  /// the same index as discrete(weights) from the same state.
+  std::size_t discrete(const std::vector<double>& weights, double total);
+  /// The sum discrete() scales its draw by, in index order. Throws
+  /// bsld::Error on a negative weight or when no weight is positive.
+  static double discrete_total(const std::vector<double>& weights);
 
  private:
   std::array<std::uint64_t, 4> state_;

@@ -7,6 +7,13 @@
 
 namespace bsld::wl {
 
+namespace {
+
+/// Heap comparator that puts the smallest record on top.
+constexpr auto kLater = [](const auto& a, const auto& b) { return b < a; };
+
+}  // namespace
+
 Workload materialize(JobStream& stream) {
   Workload workload;
   workload.name = stream.name();
@@ -36,31 +43,35 @@ SortingJobStream::SortingJobStream(std::unique_ptr<JobStream> inner,
 }
 
 void SortingJobStream::refill() {
-  auto after = [](const Pending& a, const Pending& b) {
-    return std::tie(a.job.submit, a.job.id, a.seq) >
-           std::tie(b.job.submit, b.job.id, b.seq);
-  };
-  while (!inner_done_ && heap_.size() <= window_) {
+  while (!inner_done_ && run_.size() + late_.size() <= window_) {
     std::optional<Job> job = inner_->next();
     if (!job) {
       inner_done_ = true;
       break;
     }
-    heap_.push_back(Pending{*job, next_seq_++});
-    std::push_heap(heap_.begin(), heap_.end(), after);
+    const Pending pending{*job, next_seq_++};
+    if (run_.empty() || run_.back() < pending) {
+      run_.push_back(pending);
+    } else {
+      late_.push_back(pending);
+      std::push_heap(late_.begin(), late_.end(), kLater);
+    }
   }
 }
 
 std::optional<Job> SortingJobStream::next() {
   refill();
-  if (heap_.empty()) return std::nullopt;
-  auto after = [](const Pending& a, const Pending& b) {
-    return std::tie(a.job.submit, a.job.id, a.seq) >
-           std::tie(b.job.submit, b.job.id, b.seq);
-  };
-  std::pop_heap(heap_.begin(), heap_.end(), after);
-  const Job job = heap_.back().job;
-  heap_.pop_back();
+  Job job;
+  if (!late_.empty() && (run_.empty() || late_.front() < run_.front())) {
+    std::pop_heap(late_.begin(), late_.end(), kLater);
+    job = late_.back().job;
+    late_.pop_back();
+  } else if (!run_.empty()) {
+    job = run_.front().job;
+    run_.pop_front();
+  } else {
+    return std::nullopt;
+  }
   if (emitted_any_ &&
       std::tie(job.submit, job.id) < std::tie(last_submit_, last_id_)) {
     throw Error("SortingJobStream: record out of order by more than " +

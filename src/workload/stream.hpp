@@ -11,9 +11,11 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "workload/job.hpp"
@@ -84,9 +86,15 @@ void sort_by_submit(Workload& workload);
 Workload materialize(JobStream& stream);
 
 /// Re-orders a nearly-sorted inner stream into strict (submit, id) order
-/// through a bounded min-heap of `window` pending jobs. Ties on
+/// through a bounded window of `window` + 1 pending jobs. Ties on
 /// (submit, id) keep the inner stream's arrival order — the streaming
 /// equivalent of a stable_sort. Memory is O(window), not O(jobs).
+///
+/// The window is a sorted run plus a small min-heap of late records: a
+/// record not below the run's last one (every record of an archive that
+/// arrives sorted) is appended to the run in O(1); one that arrives below
+/// it goes to the heap in O(log window). next() emits the smaller of the
+/// two fronts, so a sorted file never touches the heap.
 ///
 /// If the inner stream is out of order by more than `window` positions the
 /// violation is detected at emission time and next() throws bsld::Error —
@@ -109,13 +117,21 @@ class SortingJobStream final : public JobStream {
   struct Pending {
     Job job;
     std::uint64_t seq = 0;  ///< Arrival order; stable_sort tie-break.
+    /// (submit, id, seq): a strict order, since seq is unique.
+    friend bool operator<(const Pending& a, const Pending& b) {
+      return std::tie(a.job.submit, a.job.id, a.seq) <
+             std::tie(b.job.submit, b.job.id, b.seq);
+    }
   };
 
   void refill();
 
   std::unique_ptr<JobStream> inner_;
   std::size_t window_;
-  std::vector<Pending> heap_;  ///< Min-heap on (submit, id, seq).
+  /// Pending records in (submit, id, seq) order; in-order arrivals append.
+  std::deque<Pending> run_;
+  /// Min-heap on (submit, id, seq) of records that arrived below run_.back().
+  std::vector<Pending> late_;
   std::uint64_t next_seq_ = 0;
   bool inner_done_ = false;
   bool emitted_any_ = false;

@@ -55,6 +55,11 @@ struct SwfOptions {
 /// next() has returned std::nullopt. This is the O(1)-memory primitive
 /// under parse_swf() and the streaming half of wl::open_stream().
 ///
+/// Fields are separated by any run of the "C" locale's whitespace (space,
+/// tab, CR, LF, VT, FF), whatever locale is installed. A record is split
+/// into a fixed 18-slot array without allocating; fields after the 18th
+/// are ignored.
+///
 /// The referenced istream must outlive the cursor.
 class SwfRecordStream {
  public:
@@ -100,7 +105,8 @@ SwfTrace load_swf_file(const std::string& path,
                        const SwfOptions& options = {});
 
 /// Writes a workload as SWF (18 fields; unknown fields emitted as -1),
-/// including a small header with MaxProcs and the workload name.
+/// including a small header with MaxProcs and the workload name. Record
+/// fields are written in plain decimal whatever the stream's format flags.
 void write_swf(std::ostream& out, const Workload& workload);
 
 /// Writes to a file. Throws bsld::Error when the file cannot be created.

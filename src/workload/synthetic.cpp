@@ -37,11 +37,12 @@ std::int32_t sample_size(const SizeModel& model, std::int32_t cpus,
   return result;
 }
 
-Time sample_runtime(const RuntimeModel& model, util::Rng& rng) {
-  std::vector<double> weights;
-  weights.reserve(model.classes.size());
-  for (const auto& cls : model.classes) weights.push_back(cls.weight);
-  const auto& cls = model.classes[rng.discrete(weights)];
+/// `weights` are the model's class weights and `total` their
+/// Rng::discrete_total(), both built once per stream.
+Time sample_runtime(const RuntimeModel& model,
+                    const std::vector<double>& weights, double total,
+                    util::Rng& rng) {
+  const auto& cls = model.classes[rng.discrete(weights, total)];
   const double runtime = rng.lognormal(cls.mu, cls.sigma);
   const auto rounded = static_cast<Time>(std::llround(runtime));
   return std::clamp<Time>(rounded, model.min_runtime, model.max_runtime);
@@ -100,12 +101,18 @@ SyntheticJobStream::SyntheticJobStream(WorkloadSpec spec, std::uint64_t seed)
   // concern-independent, so the estimate/arrival/user streams are not
   // consumed) and keep only the running sum — draws, not storage, so the
   // stream stays O(1) in memory at any num_jobs.
+  for (const RuntimeClass& cls : spec_.runtime.classes) {
+    runtime_weights_.push_back(cls.weight);
+  }
+  runtime_total_ = util::Rng::discrete_total(runtime_weights_);
+
   util::Rng size_probe = size_rng_;
   util::Rng runtime_probe = runtime_rng_;
   double total_core_seconds = 0.0;
   for (std::int64_t i = 0; i < spec_.num_jobs; ++i) {
     const std::int32_t size = sample_size(spec_.size, spec_.cpus, size_probe);
-    const Time runtime = sample_runtime(spec_.runtime, runtime_probe);
+    const Time runtime = sample_runtime(spec_.runtime, runtime_weights_,
+                                        runtime_total_, runtime_probe);
     total_core_seconds +=
         static_cast<double>(size) * static_cast<double>(runtime);
   }
@@ -121,6 +128,7 @@ SyntheticJobStream::SyntheticJobStream(WorkloadSpec spec, std::uint64_t seed)
     user_weights_[static_cast<std::size_t>(u)] =
         1.0 / static_cast<double>(u + 1);
   }
+  user_total_ = util::Rng::discrete_total(user_weights_);
 }
 
 std::optional<Job> SyntheticJobStream::next() {
@@ -129,7 +137,8 @@ std::optional<Job> SyntheticJobStream::next() {
   Job job;
   job.id = static_cast<JobId>(emitted_ + 1);
   job.size = sample_size(spec_.size, spec_.cpus, size_rng_);
-  job.run_time = sample_runtime(spec_.runtime, runtime_rng_);
+  job.run_time = sample_runtime(spec_.runtime, runtime_weights_,
+                                runtime_total_, runtime_rng_);
   job.requested_time =
       sample_requested(spec_.estimate, job.run_time, estimate_rng_);
 
@@ -150,7 +159,8 @@ std::optional<Job> SyntheticJobStream::next() {
   }
   clock_ += gap;
 
-  job.user_id = static_cast<std::int32_t>(user_rng_.discrete(user_weights_));
+  job.user_id = static_cast<std::int32_t>(
+      user_rng_.discrete(user_weights_, user_total_));
   ++emitted_;
   // Gaps are non-negative and ids ascend, so emission order is already the
   // (submit, id) order generate() pins with its final sort.

@@ -135,7 +135,10 @@ class SyntheticJobStream final : public JobStream {
   util::Rng estimate_rng_;
   util::Rng arrival_rng_;
   util::Rng user_rng_;
-  std::vector<double> user_weights_;
+  std::vector<double> runtime_weights_;  ///< Runtime-class mixture weights.
+  double runtime_total_ = 0.0;           ///< Their discrete_total().
+  std::vector<double> user_weights_;     ///< Zipf activity per user.
+  double user_total_ = 0.0;              ///< Their discrete_total().
   double mean_gap_ = 0.0;  ///< From the sizing pass (offered-load target).
   double clock_ = 0.0;     ///< Arrival-process time; next submit = round().
   std::int64_t emitted_ = 0;

@@ -6,14 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "testing/helpers.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "workload/archives.hpp"
 #include "workload/source.hpp"
 #include "workload/swf.hpp"
@@ -150,12 +154,164 @@ TEST(SortingJobStreamTest, ViolationBeyondTheWindowThrows) {
       8, {job(2, 5, 10, 10, 1), job(3, 7, 10, 10, 1), job(4, 9, 10, 10, 1),
           job(1, 0, 10, 10, 1)});
   SortingJobStream sorter(std::make_unique<VectorJobStream>(shuffled), 2);
-  EXPECT_THROW(
-      {
-        while (sorter.next()) {
-        }
-      },
-      Error);
+  ASSERT_EQ(sorter.next()->id, 2);
+  try {
+    (void)sorter.next();
+    FAIL() << "expected bsld::Error";
+  } catch (const Error& error) {
+    EXPECT_STREQ(error.what(),
+                 "SortingJobStream: record out of order by more than 2 "
+                 "positions (job 1 at t=0 after t=5)");
+  }
+}
+
+TEST(SortingJobStreamTest, ReversedBlockInsideTheWindowIsRestored) {
+  // Jobs 41..60 arrive reversed: after 60 joins the sorted run, 59..41
+  // all arrive below it and go through the late-record heap.
+  std::vector<Job> jobs;
+  std::vector<JobId> expected;
+  for (JobId id = 1; id <= 100; ++id) {
+    jobs.push_back(job(id, id * 10, 5, 5, 1));
+    expected.push_back(id);
+  }
+  std::reverse(jobs.begin() + 40, jobs.begin() + 60);
+  SortingJobStream sorter(
+      std::make_unique<VectorJobStream>(workload(8, jobs)), 32);
+  std::vector<JobId> order;
+  while (const std::optional<Job> next = sorter.next()) {
+    order.push_back(next->id);
+  }
+  EXPECT_EQ(order, expected);
+}
+
+/// What a sorter emitted before it stopped, and why it stopped early.
+struct Drain {
+  std::vector<Job> jobs;
+  std::optional<std::string> error;
+};
+
+Drain drain_sorter(const std::vector<Job>& input, std::size_t window) {
+  SortingJobStream sorter(
+      std::make_unique<VectorJobStream>(workload(8, input)), window);
+  Drain out;
+  try {
+    while (const std::optional<Job> next = sorter.next()) {
+      out.jobs.push_back(*next);
+    }
+  } catch (const Error& error) {
+    out.error = error.what();
+  }
+  return out;
+}
+
+/// An independent restatement of the window's contract: keep window + 1
+/// records pending in one sorted buffer, always emit the smallest under
+/// (submit, id, arrival), and fail on emitting below the last emission.
+Drain drain_reference(const std::vector<Job>& input, std::size_t window) {
+  std::vector<std::pair<Job, std::size_t>> pending;  // (job, arrival)
+  auto less = [](const auto& a, const auto& b) {
+    return std::tie(a.first.submit, a.first.id, a.second) <
+           std::tie(b.first.submit, b.first.id, b.second);
+  };
+  Drain out;
+  std::size_t read = 0;
+  while (true) {
+    while (read < input.size() && pending.size() <= window) {
+      pending.emplace_back(input[read], read);
+      ++read;
+    }
+    if (pending.empty()) return out;
+    const auto smallest = std::min_element(pending.begin(), pending.end(), less);
+    const Job job = smallest->first;
+    pending.erase(smallest);
+    if (!out.jobs.empty() &&
+        std::tie(job.submit, job.id) <
+            std::tie(out.jobs.back().submit, out.jobs.back().id)) {
+      out.error = "SortingJobStream: record out of order by more than " +
+                  std::to_string(window) + " positions (job " +
+                  std::to_string(job.id) + " at t=" +
+                  std::to_string(job.submit) + " after t=" +
+                  std::to_string(out.jobs.back().submit) + ")";
+      return out;
+    }
+    out.jobs.push_back(job);
+  }
+}
+
+/// A (submit, id)-sorted trace with many equal submits and duplicate
+/// (submit, id) pairs; run_time tags each record so ties stay visible.
+std::vector<Job> sorted_trace_with_ties(util::Rng& rng, std::size_t count) {
+  std::vector<Job> jobs;
+  for (std::size_t i = 0; i < count; ++i) {
+    jobs.push_back(job(rng.uniform_int(1, 6), rng.uniform_int(0, 40),
+                       static_cast<Time>(i + 1), static_cast<Time>(i + 1),
+                       1));
+  }
+  std::stable_sort(jobs.begin(), jobs.end(), [](const Job& a, const Job& b) {
+    return std::tie(a.submit, a.id) < std::tie(b.submit, b.id);
+  });
+  return jobs;
+}
+
+/// Shuffles consecutive blocks of at most `block` records in place.
+void shuffle_blocks(util::Rng& rng, std::vector<Job>& jobs,
+                    std::size_t block) {
+  for (std::size_t begin = 0; begin < jobs.size();) {
+    const auto size = static_cast<std::size_t>(
+        rng.uniform_int(1, static_cast<std::int64_t>(block)));
+    const std::size_t end = std::min(jobs.size(), begin + size);
+    for (std::size_t i = end - 1; i > begin; --i) {
+      const auto j = static_cast<std::size_t>(rng.uniform_int(
+          static_cast<std::int64_t>(begin), static_cast<std::int64_t>(i)));
+      std::swap(jobs[i], jobs[j]);
+    }
+    begin = end;
+  }
+}
+
+TEST(SortingJobStreamTest, JitterWithinTheWindowYieldsTheStableSort) {
+  // A block of window + 1 records holds each one at most `window`
+  // positions after its sorted place, which the window must absorb.
+  for (const std::size_t window : {1u, 2u, 7u, 64u}) {
+    for (std::uint64_t seed = 0; seed < 25; ++seed) {
+      util::Rng rng(seed * 131 + window);
+      std::vector<Job> input = sorted_trace_with_ties(rng, 300);
+      shuffle_blocks(rng, input, window + 1);
+      std::vector<Job> expected = input;
+      std::stable_sort(expected.begin(), expected.end(),
+                       [](const Job& a, const Job& b) {
+                         return std::tie(a.submit, a.id) <
+                                std::tie(b.submit, b.id);
+                       });
+      const Drain drained = drain_sorter(input, window);
+      ASSERT_FALSE(drained.error.has_value())
+          << "window " << window << " seed " << seed << ": "
+          << *drained.error;
+      ASSERT_EQ(drained.jobs, expected)
+          << "window " << window << " seed " << seed;
+    }
+  }
+}
+
+TEST(SortingJobStreamTest, AnyDisorderMatchesTheReferenceWindow) {
+  // Blocks up to four times the window: some inputs sort, others throw.
+  // Either way the emitted prefix and the message match the reference.
+  std::size_t threw = 0;
+  for (const std::size_t window : {1u, 3u, 16u}) {
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+      util::Rng rng(seed * 977 + window);
+      std::vector<Job> input = sorted_trace_with_ties(rng, 200);
+      shuffle_blocks(rng, input, 4 * window + 1);
+      const Drain expected = drain_reference(input, window);
+      const Drain drained = drain_sorter(input, window);
+      ASSERT_EQ(drained.jobs, expected.jobs)
+          << "window " << window << " seed " << seed;
+      ASSERT_EQ(drained.error, expected.error)
+          << "window " << window << " seed " << seed;
+      if (expected.error) ++threw;
+    }
+  }
+  EXPECT_GT(threw, 0u);  // the beyond-the-window path was exercised
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -139,6 +140,54 @@ TEST(SwfTest, ToleratesCrLfAndFractionalSeconds) {
   EXPECT_EQ(trace.jobs[0].run_time, 3600);
 }
 
+TEST(SwfTest, LinesWithMoreThanEighteenFieldsAreAccepted) {
+  // Some archives append site-specific columns; only the first 18 count.
+  const SwfTrace trace = parse_swf_text(
+      "1 100 5 3600 16 -1 -1 16 7200 -1 1 42 -1 -1 -1 -1 -1 -1 7\n"
+      "2 200 5 3600 16 -1 -1 16 7200 -1 1 42 -1 -1 -1 -1 -1 -1 x y z w\n",
+      SwfOptions{.strict = true});
+  ASSERT_EQ(trace.jobs.size(), 2u);
+  EXPECT_EQ(trace.skipped_lines, 0u);
+  EXPECT_EQ(trace.jobs[1].id, 2);
+  EXPECT_EQ(trace.jobs[1].submit, 200);
+  EXPECT_EQ(trace.jobs[1].user_id, 42);
+}
+
+TEST(SwfTest, SeventeenFieldLineIsSkippedOrNamedWithItsCount) {
+  const std::string short_line =
+      "1 100 5 3600 16 -1 -1 16 7200 -1 1 42 -1 -1 -1 -1 -1\n";
+  const SwfTrace trace = parse_swf_text(short_line + kLine);
+  ASSERT_EQ(trace.jobs.size(), 1u);
+  EXPECT_EQ(trace.skipped_lines, 1u);
+  try {
+    (void)parse_swf_text(kLine + short_line, SwfOptions{.strict = true});
+    FAIL() << "expected bsld::Error";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("SWF: line 2 has only 17 fields (expected 18)"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(SwfTest, EveryCLocaleSpaceSeparatesFields) {
+  // Tab, CR, VT and FF separate fields like a space does, and a record
+  // may start with whitespace.
+  const SwfTrace trace = parse_swf_text(
+      " \t1\t100\r5\v3600\f16 -1 -1 16 7200 -1 1 42 -1 -1 -1 -1 -1 -1\n"
+      "\v\f;\tMaxProcs:\t64\t\r\n",
+      SwfOptions{.strict = true});
+  ASSERT_EQ(trace.jobs.size(), 1u);
+  const Job& job = trace.jobs[0];
+  EXPECT_EQ(job.id, 1);
+  EXPECT_EQ(job.submit, 100);
+  EXPECT_EQ(job.run_time, 3600);
+  EXPECT_EQ(job.size, 16);
+  EXPECT_EQ(job.requested_time, 7200);
+  EXPECT_EQ(job.user_id, 42);
+  EXPECT_EQ(trace.max_procs(0), 64);
+}
+
 TEST(SwfTest, WriteReadRoundTrip) {
   Workload workload;
   workload.name = "roundtrip";
@@ -154,6 +203,32 @@ TEST(SwfTest, WriteReadRoundTrip) {
   ASSERT_EQ(trace.jobs.size(), 2u);
   EXPECT_EQ(trace.jobs[0], workload.jobs[0]);
   EXPECT_EQ(trace.jobs[1], workload.jobs[1]);
+}
+
+TEST(SwfTest, WriterFormatsRecordsAsStreamInsertionDoes) {
+  // Extreme field values keep their decimal spelling, sign included.
+  Workload workload;
+  workload.name = "extremes";
+  workload.cpus = 8;
+  workload.jobs = {
+      {std::numeric_limits<JobId>::max(), std::numeric_limits<Time>::min(),
+       std::numeric_limits<Time>::max(), 0,
+       std::numeric_limits<std::int32_t>::min(),
+       std::numeric_limits<std::int32_t>::max()},
+      {1, 0, 10, 20, 2, -1},
+  };
+  std::ostringstream expected;
+  expected << "; Workload: extremes\n; MaxProcs: 8\n"
+              "; Generated by bsldsched (synthetic trace, SWF layout)\n";
+  for (const Job& job : workload.jobs) {
+    expected << job.id << ' ' << job.submit << " -1 " << job.run_time << ' '
+             << job.size << " -1 -1 " << job.size << ' '
+             << job.requested_time << " -1 1 " << job.user_id
+             << " -1 -1 -1 -1 -1 -1\n";
+  }
+  std::ostringstream out;
+  write_swf(out, workload);
+  EXPECT_EQ(out.str(), expected.str());
 }
 
 TEST(SwfTest, MissingFileThrows) {
