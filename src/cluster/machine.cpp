@@ -59,9 +59,13 @@ const std::vector<std::uint64_t>& Machine::available_words(Time start,
 }
 
 std::size_t Machine::find(JobId job, CpuId first_cpu) const {
-  const auto it = std::find_if(by_end_.begin(), by_end_.end(),
-                               [job](const Running& r) { return r.job == job; });
-  BSLD_REQUIRE(it != by_end_.end() && it->first_cpu == first_cpu,
+  const Time* end = ends_.find(job);
+  const auto it = end == nullptr
+                      ? by_end_.end()
+                      : std::lower_bound(by_end_.begin(), by_end_.end(),
+                                         Running{*end, job}, end_order);
+  BSLD_REQUIRE(it != by_end_.end() && it->job == job &&
+                   it->first_cpu == first_cpu,
                "Machine: CPU is not the handle of that running job");
   return static_cast<std::size_t>(it - by_end_.begin());
 }
@@ -97,9 +101,7 @@ void Machine::assign(JobId job, const std::vector<CpuId>& cpus,
                      Time expected_end) {
   BSLD_REQUIRE(job != kNoJob, "Machine: cannot assign the null job");
   BSLD_REQUIRE(!cpus.empty(), "Machine: empty allocation");
-  BSLD_REQUIRE(std::none_of(by_end_.begin(), by_end_.end(),
-                            [job](const Running& r) { return r.job == job; }),
-               "Machine: job is already running");
+  BSLD_REQUIRE(!ends_.contains(job), "Machine: job is already running");
   // Group the list into one-word runs, then claim run by run. A CPU repeated
   // within a run is caught while grouping, one repeated across runs by its
   // claim; a failed claim hands the earlier runs back.
@@ -137,6 +139,7 @@ void Machine::assign(JobId job, const std::vector<CpuId>& cpus,
   }
   const auto count = static_cast<std::int32_t>(cpus.size());
   free_now_ -= count;
+  (void)ends_.insert(job, expected_end);
   reindex(insert(Running{expected_end, job, cpus.front(), count, 0, head}));
 }
 
@@ -146,6 +149,7 @@ void Machine::update_expected_end(JobId job, CpuId first_cpu,
   Running entry = by_end_[old_index];
   by_end_.erase(by_end_.begin() + static_cast<std::ptrdiff_t>(old_index));
   entry.expected_end = expected_end;
+  *ends_.find(job) = expected_end;
   reindex(std::min(old_index, insert(entry)));
 }
 
@@ -155,6 +159,7 @@ void Machine::release(JobId job, CpuId first_cpu) {
                    [&](const Segment& s) { free_[s.word] |= s.bits; });
   free_now_ += by_end_[index].cpus;
   by_end_.erase(by_end_.begin() + static_cast<std::ptrdiff_t>(index));
+  (void)ends_.erase(job);
   reindex(index);
 }
 

@@ -12,15 +12,18 @@
 ///
 /// CPU sets are 64-bit words (bit c % 64 of word c / 64 is CPU c). The
 /// machine keeps a free-CPU bitset, the running jobs sorted by (expected
-/// end, job) with cumulative CPU counts, and each job's CPUs as a chain of
-/// (word, bits) segments ascending by word, so release and held_cpus cost
-/// O(words held + running jobs) and nothing allocates once grown.
+/// end, job) with cumulative CPU counts, each job's expected end by id (so
+/// a job is found by binary search on that order), and each job's CPUs as
+/// a chain of (word, bits) segments ascending by word, so release and
+/// held_cpus cost O(words held + running jobs) and nothing allocates once
+/// grown.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/id_map.hpp"
 #include "util/types.hpp"
 
 namespace bsld::cluster {
@@ -122,6 +125,7 @@ class Machine {
   std::int32_t free_now_;
   std::vector<std::uint64_t> free_;  ///< Bit set = CPU free.
   std::vector<Running> by_end_;
+  util::IdMap<Time> ends_;  ///< Running job -> its by_end_ expected end.
   /// Running jobs' segments, each at its lowest CPU; other entries stale.
   std::vector<Segment> segments_;
   std::vector<Segment> claim_;       ///< assign() scratch: the list's runs.

@@ -7,7 +7,7 @@
 namespace bsld::core {
 
 void WaitQueue::push(JobId id, std::int32_t size) {
-  BSLD_REQUIRE(members_.insert(id).second, "WaitQueue: duplicate job id");
+  BSLD_REQUIRE(members_.insert(id, true), "WaitQueue: duplicate job id");
   jobs_.push_back({id, size});
 }
 
@@ -20,12 +20,12 @@ JobId WaitQueue::pop_head() {
   BSLD_REQUIRE(!jobs_.empty(), "WaitQueue: pop_head() on empty queue");
   const JobId id = jobs_.front().id;
   jobs_.pop_front();
-  members_.erase(id);
+  (void)members_.erase(id);
   return id;
 }
 
 void WaitQueue::remove(JobId id) {
-  BSLD_REQUIRE(members_.erase(id) == 1, "WaitQueue: removing absent job");
+  BSLD_REQUIRE(members_.erase(id), "WaitQueue: removing absent job");
   jobs_.erase(std::find_if(jobs_.begin(), jobs_.end(),
                            [id](const Entry& entry) { return entry.id == id; }));
 }
@@ -33,7 +33,7 @@ void WaitQueue::remove(JobId id) {
 void WaitQueue::remove_at(std::size_t pos) {
   BSLD_REQUIRE(pos < jobs_.size(), "WaitQueue: removing past the end");
   const auto it = jobs_.begin() + static_cast<std::ptrdiff_t>(pos);
-  members_.erase(it->id);
+  (void)members_.erase(it->id);
   jobs_.erase(it);
 }
 

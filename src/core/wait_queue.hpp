@@ -6,15 +6,15 @@
 /// order of the rest. Each entry carries the job's size and a `closed`
 /// mark, so a backfill scan can walk the queue by position and skip jobs
 /// without looking them up. Membership queries are O(1): the deque carries
-/// the order, a hash set mirrors the contents (EASY checks membership when
-/// it computes a head's or a newcomer's WQsize).
+/// the order, a util::IdMap mirrors the contents (EASY checks membership
+/// when it computes a head's or a newcomer's WQsize).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <unordered_set>
 
+#include "util/id_map.hpp"
 #include "util/types.hpp"
 
 namespace bsld::core {
@@ -68,7 +68,7 @@ class WaitQueue {
 
  private:
   std::deque<Entry> jobs_;             ///< FCFS order.
-  std::unordered_set<JobId> members_;  ///< Mirror of jobs_ for contains().
+  util::IdMap<bool> members_;  ///< Mirror of jobs_ for contains().
 };
 
 }  // namespace bsld::core

@@ -58,7 +58,8 @@ void AggregateAccumulator::on_run_begin(const RunBeginEvent& event) {
   top_gear_ = static_cast<GearIndex>(event.gear_count) - 1;
   makespan_ = 0;
   next_index_ = 0;
-  pending_bsld_.clear();
+  pending_bsld_.assign(kInitialPending, PendingBsld{});
+  pending_count_ = 0;
   pm_events_.clear();
   gated_seconds_ = 0.0;
   sleep_core_seconds_ = 0.0;
@@ -96,24 +97,46 @@ void AggregateAccumulator::on_finish(const FinishEvent& event) {
   if (outcome.boosted) ++boosted_;
   makespan_ = std::max(makespan_, outcome.end);
 
+  BSLD_REQUIRE(event.trace_index >= next_index_,
+               "AggregateAccumulator: job finished twice");
   // Drain the reorder buffer in trace order so the naive double sum is
   // bit-identical to iterating a retained JobOutcome vector.
   if (event.trace_index == next_index_) {
     bsld_sum_ += outcome.bsld;
     ++next_index_;
-    auto it = pending_bsld_.begin();
-    while (it != pending_bsld_.end() && it->first == next_index_) {
-      bsld_sum_ += it->second;
+    const std::size_t mask = pending_bsld_.size() - 1;
+    while (pending_count_ > 0) {
+      PendingBsld& slot = pending_bsld_[next_index_ & mask];
+      if (!slot.present) break;
+      bsld_sum_ += slot.bsld;
+      slot.present = false;
+      --pending_count_;
       ++next_index_;
-      it = pending_bsld_.erase(it);
     }
   } else {
-    pending_bsld_.emplace(event.trace_index, outcome.bsld);
+    grow_pending(event.trace_index);
+    PendingBsld& slot =
+        pending_bsld_[event.trace_index & (pending_bsld_.size() - 1)];
+    BSLD_REQUIRE(!slot.present, "AggregateAccumulator: job finished twice");
+    slot = PendingBsld{outcome.bsld, true};
+    ++pending_count_;
   }
 }
 
+void AggregateAccumulator::grow_pending(std::uint64_t trace_index) {
+  std::size_t size = pending_bsld_.size();
+  if (trace_index - next_index_ < size) return;
+  while (trace_index - next_index_ >= size) size *= 2;
+  std::vector<PendingBsld> grown(size);
+  for (std::uint64_t i = next_index_ + 1; i < next_index_ + pending_bsld_.size();
+       ++i) {
+    grown[i & (size - 1)] = pending_bsld_[i & (pending_bsld_.size() - 1)];
+  }
+  pending_bsld_.swap(grown);
+}
+
 double AggregateAccumulator::avg_bsld() const {
-  BSLD_REQUIRE(pending_bsld_.empty(),
+  BSLD_REQUIRE(pending_count_ == 0,
                "AggregateAccumulator: BSLD reorder buffer not drained — "
                "some jobs never finished");
   return count_ == 0 ? 0.0 : bsld_sum_ / static_cast<double>(count_);

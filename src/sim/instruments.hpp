@@ -81,11 +81,13 @@ class JobRecorder final : public Instrument {
 ///
 /// Bit-identity contract: avg_bsld() reproduces the trace-order naive
 /// double summation of the retained-jobs path exactly, even though jobs
-/// finish out of trace order — finished BSLDs pass through a small reorder
-/// buffer and are added in trace order (the buffer holds one double per
-/// job finished while an earlier-submitted job still runs; typically a
-/// handful). Wait times are integral seconds and are summed exactly in an
-/// int64, which equals the double summation for any realistic horizon.
+/// finish out of trace order — finished BSLDs pass through a reorder
+/// buffer and are added in trace order. The buffer is a grow-only ring
+/// indexed by trace index, sized to the distance from the oldest unfinished
+/// job to the newest finished one (the span the job window keeps resident),
+/// so it stops allocating once warm. Wait times are integral seconds and
+/// are summed exactly in an int64, which equals the double summation for
+/// any realistic horizon.
 class AggregateAccumulator final : public Instrument {
  public:
   [[nodiscard]] std::string name() const override { return "aggregates"; }
@@ -130,9 +132,22 @@ class AggregateAccumulator final : public Instrument {
   std::vector<std::int64_t> jobs_per_gear_;
   GearIndex top_gear_ = 0;
   Time makespan_ = 0;
-  /// Trace-order reorder buffer for the BSLD sum.
+  /// A finished BSLD waiting for every earlier trace index.
+  struct PendingBsld {
+    double bsld = 0.0;
+    bool present = false;
+  };
+  static constexpr std::size_t kInitialPending = 64;
+  /// Doubles the ring until `trace_index` fits, keeping every entry.
+  void grow_pending(std::uint64_t trace_index);
+
+  /// Trace-order reorder buffer for the BSLD sum: trace index i waits in
+  /// slot i mod pending_bsld_.size() (a power of two), for i in
+  /// (next_index_, next_index_ + size).
   std::uint64_t next_index_ = 0;
-  std::map<std::uint64_t, double> pending_bsld_;
+  std::vector<PendingBsld> pending_bsld_ =
+      std::vector<PendingBsld>(kInitialPending);
+  std::size_t pending_count_ = 0;
   std::map<pm::PmEventKind, std::int64_t> pm_events_;
   double gated_seconds_ = 0.0;
   double sleep_core_seconds_ = 0.0;

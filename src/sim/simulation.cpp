@@ -53,9 +53,9 @@ const wl::Job& Simulation::job_at(std::uint64_t trace_index) const {
 }
 
 std::uint64_t Simulation::trace_index(JobId id) const {
-  const auto it = index_.find(id);
-  BSLD_REQUIRE(it != index_.end(), "Simulation: unknown job id");
-  return it->second;
+  const std::uint64_t* global = index_.find(id);
+  BSLD_REQUIRE(global != nullptr, "Simulation: unknown job id");
+  return *global;
 }
 
 RunningRec& Simulation::running(JobId id) {
@@ -85,7 +85,7 @@ void Simulation::flush_events() {
   while (window_.live() > 0) {
     const JobWindow::Slot& front = window_.front();
     if (!front.started || front.state.running) break;
-    index_.erase(front.job.id);
+    (void)index_.erase(front.job.id);
     window_.pop_front();
   }
 }
@@ -99,7 +99,7 @@ void Simulation::pump_submit() {
   BSLD_REQUIRE(job->run_time >= 0 && job->requested_time >= 1,
                "Simulation: invalid job durations");
   const std::uint64_t global = window_.admitted();
-  BSLD_REQUIRE(index_.emplace(job->id, global).second,
+  BSLD_REQUIRE(index_.insert(job->id, global),
                "Simulation: duplicate job id");
   if (global == 0) first_submit_ = job->submit;
   const Time submit = job->submit;

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/machine.hpp"
@@ -41,6 +40,7 @@
 #include "sim/engine.hpp"
 #include "sim/job_window.hpp"
 #include "sim/observer.hpp"
+#include "util/id_map.hpp"
 #include "workload/job.hpp"
 #include "workload/stream.hpp"
 
@@ -203,7 +203,7 @@ class Simulation final : public core::SchedulerContext,
   cluster::Machine machine_;
   Engine engine_;
   JobWindow window_;                ///< In-flight jobs by global index.
-  std::unordered_map<JobId, std::uint64_t> index_;  ///< Live JobId -> global.
+  util::IdMap<std::uint64_t> index_;  ///< Live JobId -> global.
   /// The finished job's CPUs for pm_->on_job_finish, reused across jobs.
   /// Nothing else writes it while the hook holds it and re-gears others.
   std::vector<CpuId> finish_cpus_;

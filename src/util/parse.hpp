@@ -33,6 +33,14 @@ namespace bsld::util {
 /// Unsigned variant spanning the full uint64 range (workload seeds).
 [[nodiscard]] std::optional<std::uint64_t> parse_uint(std::string_view text);
 
+/// Checked narrowing of a parsed integer: std::nullopt when `value` lies
+/// outside int32's range (a static_cast would wrap it silently).
+[[nodiscard]] inline std::optional<std::int32_t> narrow_int32(
+    std::int64_t value) {
+  if (value < INT32_MIN || value > INT32_MAX) return std::nullopt;
+  return static_cast<std::int32_t>(value);
+}
+
 /// Throwing wrappers: `what` names the input's origin — "flag --bsld",
 /// "key `scale`", "request line 3" — and appears verbatim in the
 /// bsld::Error message together with the rejected text.

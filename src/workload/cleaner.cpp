@@ -59,21 +59,6 @@ CleanReport clean(Workload& workload, const CleanOptions& options) {
   return cleaner.report();
 }
 
-CleaningJobStream::CleaningJobStream(std::unique_ptr<JobStream> inner,
-                                     CleanOptions options)
-    : inner_(std::move(inner)), cleaner_(std::move(options)) {
-  BSLD_REQUIRE(inner_ != nullptr, "CleaningJobStream: null inner stream");
-}
-
-std::optional<Job> CleaningJobStream::next() {
-  while (std::optional<Job> job = inner_->next()) {
-    if (std::optional<Job> cleaned = cleaner_.accept(std::move(*job))) {
-      return cleaned;
-    }
-  }
-  return std::nullopt;
-}
-
 Workload slice(const Workload& workload, std::size_t first_index,
                std::size_t count) {
   BSLD_REQUIRE(first_index + count <= workload.jobs.size(),

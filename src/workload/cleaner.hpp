@@ -8,12 +8,11 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <optional>
+#include <utility>
 
 #include "util/types.hpp"
 #include "workload/job.hpp"
-#include "workload/stream.hpp"
 
 namespace bsld::wl {
 
@@ -69,27 +68,6 @@ class JobCleaner {
 /// Cleans `workload` in place; returns what happened. Jobs remain sorted by
 /// (submit, id) and keep their original ids.
 CleanReport clean(Workload& workload, const CleanOptions& options);
-
-/// Streaming adapter over JobCleaner: pulls from `inner` and yields only
-/// the records the cleaning rules keep. report() is complete once the
-/// stream is exhausted.
-class CleaningJobStream final : public JobStream {
- public:
-  CleaningJobStream(std::unique_ptr<JobStream> inner, CleanOptions options);
-
-  std::optional<Job> next() override;
-  [[nodiscard]] const std::string& name() const override {
-    return inner_->name();
-  }
-  [[nodiscard]] std::int32_t cpus() const override { return inner_->cpus(); }
-
-  /// Counters over every record pulled so far (final after exhaustion).
-  [[nodiscard]] const CleanReport& report() const { return cleaner_.report(); }
-
- private:
-  std::unique_ptr<JobStream> inner_;
-  JobCleaner cleaner_;
-};
 
 /// Extracts a contiguous `count`-job slice starting at `first_index`
 /// (0-based), re-basing submit times so the slice starts at t = 0. This is

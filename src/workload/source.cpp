@@ -208,8 +208,8 @@ class RecordAdapter final : public JobStream {
 };
 
 /// Streaming kSwf pipeline: file → incremental parse → bounded (submit, id)
-/// sort → incremental clean → truncate/rebase. Matches the materialized
-/// parse_swf → stable_sort → clean → slice pipeline byte for byte: the
+/// sort → incremental clean → truncate/rebase. Matches a materialized
+/// parse → stable_sort → clean → slice of the whole file byte for byte: the
 /// cleaning rules applied here are per-record (flurry removal is off on
 /// this path), so they commute with the sort, and the truncation/rebase
 /// decision is made from a counting pre-pass over the whole file exactly

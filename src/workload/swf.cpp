@@ -5,8 +5,7 @@
 #include <cctype>
 #include <charconv>
 #include <fstream>
-#include <sstream>
-#include <tuple>
+#include <istream>
 
 #include "util/error.hpp"
 #include "util/parse.hpp"
@@ -21,6 +20,16 @@ bool parse_int(std::string_view token, std::int64_t& out) {
   const char* end = begin + token.size();
   const auto result = std::from_chars(begin, end, out);
   return result.ec == std::errc{} && result.ptr == end;
+}
+
+/// Parses one signed integer token that must fit int32 (processor counts,
+/// user ids); returns false on garbage or a value outside int32.
+bool parse_int32(std::string_view token, std::int32_t& out) {
+  std::int64_t value = 0;
+  const auto narrow = parse_int(token, value) ? util::narrow_int32(value)
+                                              : std::nullopt;
+  out = narrow.value_or(0);
+  return narrow.has_value();
 }
 
 /// SWF allows fractional seconds in some fields; accept and truncate.
@@ -90,23 +99,15 @@ void parse_header_line(std::string_view line,
 
 }  // namespace
 
-std::int32_t SwfTrace::max_procs(std::int32_t fallback) const {
-  const auto it = header.find("MaxProcs");
-  if (it == header.end()) return fallback;
-  std::int64_t value = 0;
-  if (!parse_int(it->second, value) || value <= 0) return fallback;
-  return static_cast<std::int32_t>(value);
-}
-
 SwfRecordStream::SwfRecordStream(std::istream& in, const SwfOptions& options)
     : in_(&in), options_(options) {}
 
 std::int32_t SwfRecordStream::max_procs(std::int32_t fallback) const {
   const auto it = header_.find("MaxProcs");
-  if (it == header_.end()) return fallback;
-  std::int64_t value = 0;
-  if (!parse_int(it->second, value) || value <= 0) return fallback;
-  return static_cast<std::int32_t>(value);
+  std::int32_t value = 0;
+  return it != header_.end() && parse_int32(it->second, value) && value > 0
+             ? value
+             : fallback;
 }
 
 std::optional<Job> SwfRecordStream::next() {
@@ -135,19 +136,19 @@ std::optional<Job> SwfRecordStream::next() {
     }
 
     // Field indices per SWF definition (0-based here).
-    std::int64_t id = 0, submit = 0, run = 0, alloc = 0, req_procs = 0,
-                 req_time = 0, user = 0;
+    std::int64_t id = 0, submit = 0, run = 0, req_time = 0;
+    std::int32_t alloc = 0, req_procs = 0, user = 0;
     const bool ok = parse_int(fields[0], id) &&
                     parse_time_like(fields[1], submit) &&
                     parse_time_like(fields[3], run) &&
-                    parse_int(fields[4], alloc) &&
-                    parse_int(fields[7], req_procs) &&
+                    parse_int32(fields[4], alloc) &&
+                    parse_int32(fields[7], req_procs) &&
                     parse_time_like(fields[8], req_time) &&
-                    parse_int(fields[11], user);
+                    parse_int32(fields[11], user);
     if (!ok) {
       BSLD_REQUIRE(!options_.strict,
                    "SWF: line " + std::to_string(line_no_) +
-                       " has an unparsable mandatory field");
+                       " has an unparsable or out-of-range mandatory field");
       ++skipped_;
       continue;
     }
@@ -156,9 +157,9 @@ std::optional<Job> SwfRecordStream::next() {
     job.id = id;
     job.submit = std::max<Time>(submit, 0);
     job.run_time = run;
-    job.size = static_cast<std::int32_t>(alloc > 0 ? alloc : req_procs);
+    job.size = alloc > 0 ? alloc : req_procs;
     job.requested_time = req_time > 0 ? req_time : run;
-    job.user_id = static_cast<std::int32_t>(user);
+    job.user_id = user;
 
     if (job.id <= 0 || job.size <= 0 || job.run_time < 0) {
       ++skipped_;
@@ -167,32 +168,6 @@ std::optional<Job> SwfRecordStream::next() {
     return job;
   }
   return std::nullopt;
-}
-
-SwfTrace parse_swf(std::istream& in, const SwfOptions& options) {
-  SwfTrace trace;
-  SwfRecordStream records(in, options);
-  while (std::optional<Job> job = records.next()) {
-    trace.jobs.push_back(*job);
-  }
-  trace.header = records.header();
-  trace.skipped_lines = records.skipped_lines();
-  std::stable_sort(trace.jobs.begin(), trace.jobs.end(),
-                   [](const Job& a, const Job& b) {
-                     return std::tie(a.submit, a.id) < std::tie(b.submit, b.id);
-                   });
-  return trace;
-}
-
-SwfTrace parse_swf_text(const std::string& text, const SwfOptions& options) {
-  std::istringstream in(text);
-  return parse_swf(in, options);
-}
-
-SwfTrace load_swf_file(const std::string& path, const SwfOptions& options) {
-  std::ifstream in(path);
-  BSLD_REQUIRE(in.good(), "SWF: cannot open file `" + path + "`");
-  return parse_swf(in, options);
 }
 
 void write_swf(std::ostream& out, const Workload& workload) {

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace bsld::cluster {
 namespace {
@@ -102,6 +108,108 @@ TEST(MachineTest, ReleaseWrongJobRejected) {
   std::vector<CpuId> held;
   EXPECT_THROW(machine.held_cpus(3, 2, held), Error);
   EXPECT_EQ(machine.free_now(), 1);
+}
+
+/// The message of the bsld::Error `call` throws, or "" when it throws none.
+template <typename Call>
+std::string error_of(Call call) {
+  try {
+    call();
+  } catch (const Error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+// Every rejection keeps firing, with the machine untouched, after many
+// assign / re-time / release cycles with tied expected ends: a job is
+// found by its (expected end, job) position, so a stale end would lose it.
+TEST(MachineTest, RejectionsHoldAfterManyAssignReleaseRetimeCycles) {
+  constexpr std::int32_t kCpus = 130;
+  Machine machine(kCpus);
+  util::Rng rng(17);
+  struct Held {
+    CpuId first_cpu;
+    std::int32_t cpus;
+    Time expected_end;
+  };
+  std::map<JobId, Held> running;
+  JobId next_id = 1;
+  for (int cycle = 0; cycle < 800; ++cycle) {
+    const std::int64_t action = rng.uniform_int(0, 2);
+    if (action == 0 || running.empty()) {
+      std::vector<CpuId> free;
+      for (CpuId cpu = 0; cpu < kCpus; ++cpu) {
+        if (machine.is_free(cpu)) free.push_back(cpu);
+      }
+      if (free.empty()) continue;
+      std::vector<CpuId> cpus;
+      const auto size = rng.uniform_int(1, std::min<std::int64_t>(
+                                               9, static_cast<std::int64_t>(free.size())));
+      for (std::int64_t i = 0; i < size; ++i) {
+        const auto at = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(free.size()) - 1));
+        cpus.push_back(free[at]);
+        free.erase(free.begin() + static_cast<std::ptrdiff_t>(at));
+      }
+      const Time end = rng.uniform_int(100, 110);  // Many ties.
+      machine.assign(next_id, cpus, end);
+      running[next_id] = Held{cpus.front(), static_cast<std::int32_t>(size), end};
+      ++next_id;
+    } else {
+      auto it = running.begin();
+      std::advance(it, rng.uniform_int(
+                           0, static_cast<std::int64_t>(running.size()) - 1));
+      if (action == 1) {
+        it->second.expected_end = rng.uniform_int(100, 110);
+        machine.update_expected_end(it->first, it->second.first_cpu,
+                                    it->second.expected_end);
+      } else {
+        machine.release(it->first, it->second.first_cpu);
+        running.erase(it);
+      }
+    }
+
+    const std::vector<std::uint64_t> free = machine.free_words();
+    const std::vector<Machine::Running> by_end = machine.by_end();
+    for (const auto& [id, held] : running) {
+      const CpuId other = (held.first_cpu + 1) % kCpus;
+      EXPECT_EQ(error_of([&] { machine.assign(id, {other}, 50); })
+                    .rfind("Machine: job is already running", 0),
+                0u)
+          << "cycle " << cycle << " job " << id;
+      EXPECT_NE(error_of([&] { machine.release(id, other); }), "");
+      EXPECT_NE(error_of([&] { machine.update_expected_end(id, other, 1); }),
+                "");
+      std::vector<CpuId> cpus;
+      EXPECT_NE(error_of([&] { machine.held_cpus(id, other, cpus); }), "");
+      machine.held_cpus(id, held.first_cpu, cpus);
+      EXPECT_EQ(static_cast<std::int32_t>(cpus.size()), held.cpus);
+    }
+    for (const JobId gone : {JobId{0}, next_id, next_id + 1}) {
+      EXPECT_NE(error_of([&] { machine.release(gone, 0); }), "");
+      EXPECT_NE(error_of([&] { machine.update_expected_end(gone, 0, 1); }),
+                "");
+    }
+    ASSERT_EQ(machine.free_words(), free) << "cycle " << cycle;
+    ASSERT_EQ(machine.by_end().size(), running.size());
+    for (std::size_t i = 0; i < by_end.size(); ++i) {
+      const Machine::Running& entry = machine.by_end()[i];
+      ASSERT_EQ(entry.job, by_end[i].job);
+      ASSERT_EQ(entry.expected_end, running.at(entry.job).expected_end);
+      if (i > 0) {
+        const Machine::Running& before = machine.by_end()[i - 1];
+        ASSERT_TRUE(before.expected_end < entry.expected_end ||
+                    (before.expected_end == entry.expected_end &&
+                     before.job < entry.job));
+      }
+    }
+  }
+  while (!running.empty()) {
+    machine.release(running.begin()->first, running.begin()->second.first_cpu);
+    running.erase(running.begin());
+  }
+  EXPECT_EQ(machine.free_now(), kCpus);
 }
 
 TEST(MachineTest, AvailTimeClampsOverrunningJobs) {

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "sim/instrument_registry.hpp"
 #include "testing/helpers.hpp"
@@ -98,6 +100,59 @@ TEST(AggregateAccumulatorTest, UndrainedReorderBufferIsAnError) {
   // Only the second job finished: the trace-order sum cannot be formed.
   feeder.finish(accumulator, 1, outcome_for(2, 1, 5, 20, 5, 1.5));
   EXPECT_THROW((void)accumulator.avg_bsld(), Error);
+}
+
+TEST(AggregateAccumulatorTest, FinishesFarAheadOfTheNextIndexGrowTheBuffer) {
+  // Job 0 finishes last, so every other BSLD waits in the reorder buffer,
+  // up to 2999 positions ahead of the next trace index: far past the
+  // buffer's initial size, across several growths, in a scrambled order.
+  constexpr std::size_t kJobs = 3000;
+  std::vector<wl::Job> jobs;
+  std::vector<double> bslds;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    jobs.push_back(job(static_cast<JobId>(i + 1), static_cast<Time>(i), 10,
+                       20, 1));
+    bslds.push_back(1.0 + static_cast<double>((i * 7919) % 1000) / 37.0);
+  }
+  const wl::Workload load = workload(4, jobs);
+  std::vector<std::size_t> finish_order;
+  for (std::size_t i = kJobs; i-- > 1;) finish_order.push_back(i);
+  // Reverse, then swap pairs: neither sorted nor reverse-sorted.
+  for (std::size_t i = 0; i + 1 < finish_order.size(); i += 2) {
+    std::swap(finish_order[i], finish_order[i + 1]);
+  }
+  finish_order.push_back(0);
+
+  AggregateAccumulator accumulator;
+  EventFeeder feeder(load);
+  feeder.begin(accumulator, 4, 6);
+  for (const std::size_t index : finish_order) {
+    feeder.finish(accumulator, index,
+                  outcome_for(static_cast<JobId>(index + 1),
+                              static_cast<Time>(index), 100, 200, 5,
+                              bslds[index]));
+    if (index != 0) {
+      EXPECT_THROW((void)accumulator.avg_bsld(), Error);
+    }
+  }
+  double naive = 0.0;
+  for (const double bsld : bslds) naive += bsld;
+  EXPECT_EQ(accumulator.avg_bsld(), naive / static_cast<double>(kJobs));
+  EXPECT_EQ(accumulator.count(), static_cast<std::int64_t>(kJobs));
+}
+
+TEST(AggregateAccumulatorTest, FinishingATraceIndexTwiceIsAnError) {
+  const wl::Workload load = workload(
+      2, {job(1, 0, 10, 20, 1), job(2, 1, 10, 20, 1), job(3, 2, 10, 20, 1)});
+  AggregateAccumulator accumulator;
+  EventFeeder feeder(load);
+  feeder.begin(accumulator, 2, 6);
+  feeder.finish(accumulator, 2, outcome_for(3, 2, 5, 20, 5, 1.5));
+  EXPECT_THROW(feeder.finish(accumulator, 2, outcome_for(3, 2, 5, 20, 5, 1.5)),
+               Error);  // Still waiting in the buffer.
+  feeder.finish(accumulator, 0, outcome_for(1, 0, 5, 20, 5, 1.5));
+  EXPECT_THROW(feeder.finish(accumulator, 0, outcome_for(1, 0, 5, 20, 5, 1.5)),
+               Error);  // Already summed.
 }
 
 TEST(JobRecorderTest, RecordsInTraceOrderRegardlessOfFinishOrder) {
