@@ -730,10 +730,7 @@ int main(int argc, char** argv) try {
     table.add_row({"Energy, idle=low (GJ)",
                    util::fmt_double(result.energy.total_joules / 1e9, 3)});
     table.add_row({"Events processed", std::to_string(result.events_processed)});
-    // The result cache does not store the job window's high-water mark.
-    table.add_row({"Peak live jobs",
-                   cached ? "n/a (cached)"
-                          : std::to_string(result.peak_live_jobs)});
+    table.add_row({"Peak live jobs", std::to_string(result.peak_live_jobs)});
     std::cout << table;
 
     std::cout << "\nJobs per gear:";

@@ -7,8 +7,8 @@
 /// sim::SimObserver stream via pm::PmContext::emit, so instruments can
 /// account capped and sleeping intervals without the manager knowing who
 /// listens. The struct is deliberately flat and union-like — one type for
-/// all kinds keeps the observer seam to a single hook; the per-kind field
-/// meaning is documented on the enum.
+/// all kinds keeps it to one alternative of sim::BatchedEvent; the per-kind
+/// field meaning is documented on the enum.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +50,9 @@ enum class PmEventKind : int {
 [[nodiscard]] const char* to_string(PmEventKind kind);
 
 /// One power-management action, stamped with simulation time. Emitted by
-/// managers through PmContext::emit and delivered to every observer via
-/// sim::SimObserver::on_pm (the "pm-trace" instrument records them all).
+/// managers through PmContext::emit and delivered to every observer as a
+/// record of sim::SimObserver::on_events (the "pm-trace" instrument records
+/// them all).
 struct PmEvent {
   PmEventKind kind = PmEventKind::kCapChange;
   Time time = 0;

@@ -187,6 +187,7 @@ std::string serialize_entry(const RunResult& result) {
   aggregates.set("makespan", std::to_string(sim.makespan));
   aggregates.set("utilization", util::config_double(sim.utilization));
   aggregates.set("events_processed", std::to_string(sim.events_processed));
+  aggregates.set("peak_live_jobs", std::to_string(sim.peak_live_jobs));
   out << "[sim]\n" << aggregates.to_string();
 
   out << "[jobs count=" << sim.jobs.size() << " fields=" << kJobFields
@@ -238,7 +239,8 @@ bool parse_aggregates(const std::string& text, sim::SimulationResult& sim) {
       "energy.total_joules",  "energy.idle_joules",
       "energy.busy_core_seconds", "energy.idle_core_seconds",
       "energy.horizon", "makespan",
-      "utilization",    "events_processed"};
+      "utilization",    "events_processed",
+      "peak_live_jobs"};
   for (const char* key : kRequired) {
     if (!config.contains(key)) return false;
   }
@@ -271,6 +273,7 @@ bool parse_aggregates(const std::string& text, sim::SimulationResult& sim) {
     sim.utilization = config.get_double("utilization", 0.0);
     sim.events_processed =
         static_cast<std::uint64_t>(config.get_int("events_processed", 0));
+    sim.peak_live_jobs = config.get_int("peak_live_jobs", 0);
   } catch (const Error&) {
     return false;
   }

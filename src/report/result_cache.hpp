@@ -79,7 +79,7 @@ class ResultCache {
   /// fields change meaning, fields are added or removed, or the simulator's
   /// numeric output changes for identical specs — old entries then become
   /// invisible (and reclaimable) instead of silently wrong.
-  static constexpr int kSchemaEpoch = 1;
+  static constexpr int kSchemaEpoch = 2;
 
   /// Process-lifetime counters (not persisted).
   struct Counters {

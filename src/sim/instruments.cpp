@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <span>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
@@ -20,12 +21,17 @@ void JobRecorder::on_run_begin(const RunBeginEvent& event) {
   }
 }
 
-void JobRecorder::on_finish(const FinishEvent& event) {
-  // Jobs finish out of trace order; grow to cover the index when the run
-  // began without an exact job-count hint.
-  const auto index = static_cast<std::size_t>(event.trace_index);
-  if (index >= jobs_.size()) jobs_.resize(index + 1);
-  jobs_[index] = event.outcome;
+void JobRecorder::on_events(const JobResolver& /*jobs*/,
+                            const BatchedEvent* events, std::size_t count) {
+  for (const BatchedEvent& event : std::span(events, count)) {
+    const auto* finish = std::get_if<FinishRecord>(&event);
+    if (finish == nullptr) continue;
+    // Jobs finish out of trace order; grow to cover the index when the run
+    // began without an exact job-count hint.
+    const auto index = static_cast<std::size_t>(finish->trace_index);
+    if (index >= jobs_.size()) jobs_.resize(index + 1);
+    jobs_[index] = finish->outcome;
+  }
 }
 
 void JobRecorder::write_csv(std::ostream& out) const {
@@ -66,20 +72,28 @@ void AggregateAccumulator::on_run_begin(const RunBeginEvent& event) {
   wake_delay_seconds_ = 0.0;
 }
 
-void AggregateAccumulator::on_pm(const pm::PmEvent& event) {
-  ++pm_events_[event.kind];
-  switch (event.kind) {
-    case pm::PmEventKind::kRelease:
-      gated_seconds_ += event.seconds;
-      break;
-    case pm::PmEventKind::kSleepInterval:
-      sleep_core_seconds_ += event.seconds;
-      break;
-    case pm::PmEventKind::kWake:
-      wake_delay_seconds_ += event.seconds;
-      break;
-    default:
-      break;
+void AggregateAccumulator::on_events(const JobResolver& /*jobs*/,
+                                     const BatchedEvent* events,
+                                     std::size_t count) {
+  for (const BatchedEvent& event : std::span(events, count)) {
+    if (const auto* finish = std::get_if<FinishRecord>(&event)) {
+      add_finish(*finish);
+    } else if (const auto* action = std::get_if<pm::PmEvent>(&event)) {
+      ++pm_events_[action->kind];
+      switch (action->kind) {
+        case pm::PmEventKind::kRelease:
+          gated_seconds_ += action->seconds;
+          break;
+        case pm::PmEventKind::kSleepInterval:
+          sleep_core_seconds_ += action->seconds;
+          break;
+        case pm::PmEventKind::kWake:
+          wake_delay_seconds_ += action->seconds;
+          break;
+        default:
+          break;
+      }
+    }
   }
 }
 
@@ -88,8 +102,8 @@ std::int64_t AggregateAccumulator::pm_events(pm::PmEventKind kind) const {
   return it == pm_events_.end() ? 0 : it->second;
 }
 
-void AggregateAccumulator::on_finish(const FinishEvent& event) {
-  const JobOutcome& outcome = event.outcome;
+void AggregateAccumulator::add_finish(const FinishRecord& finish) {
+  const JobOutcome& outcome = finish.outcome;
   ++count_;
   wait_sum_ += outcome.wait();
   ++jobs_per_gear_[static_cast<std::size_t>(outcome.gear)];
@@ -97,11 +111,11 @@ void AggregateAccumulator::on_finish(const FinishEvent& event) {
   if (outcome.boosted) ++boosted_;
   makespan_ = std::max(makespan_, outcome.end);
 
-  BSLD_REQUIRE(event.trace_index >= next_index_,
+  BSLD_REQUIRE(finish.trace_index >= next_index_,
                "AggregateAccumulator: job finished twice");
   // Drain the reorder buffer in trace order so the naive double sum is
   // bit-identical to iterating a retained JobOutcome vector.
-  if (event.trace_index == next_index_) {
+  if (finish.trace_index == next_index_) {
     bsld_sum_ += outcome.bsld;
     ++next_index_;
     const std::size_t mask = pending_bsld_.size() - 1;
@@ -114,9 +128,9 @@ void AggregateAccumulator::on_finish(const FinishEvent& event) {
       ++next_index_;
     }
   } else {
-    grow_pending(event.trace_index);
+    grow_pending(finish.trace_index);
     PendingBsld& slot =
-        pending_bsld_[event.trace_index & (pending_bsld_.size() - 1)];
+        pending_bsld_[finish.trace_index & (pending_bsld_.size() - 1)];
     BSLD_REQUIRE(!slot.present, "AggregateAccumulator: job finished twice");
     slot = PendingBsld{outcome.bsld, true};
     ++pending_count_;
@@ -179,18 +193,20 @@ void EnergyProbe::on_run_begin(const RunBeginEvent& event) {
   utilization_ = 0.0;
 }
 
-void EnergyProbe::on_gear_change(const GearChangeEvent& event) {
-  meter_->add_execution(event.size, event.from, event.segment_seconds);
-}
-
-void EnergyProbe::on_finish(const FinishEvent& event) {
-  meter_->add_execution(event.outcome.size, event.outcome.final_gear,
-                        event.final_segment_seconds);
-}
-
-void EnergyProbe::on_pm(const pm::PmEvent& event) {
-  if (event.kind == pm::PmEventKind::kSleepInterval) {
-    meter_->add_sleep(event.seconds, event.watts);
+void EnergyProbe::on_events(const JobResolver& /*jobs*/,
+                            const BatchedEvent* events, std::size_t count) {
+  for (const BatchedEvent& event : std::span(events, count)) {
+    if (const auto* change = std::get_if<GearChangeEvent>(&event)) {
+      meter_->add_execution(change->size, change->from,
+                            change->segment_seconds);
+    } else if (const auto* finish = std::get_if<FinishRecord>(&event)) {
+      meter_->add_execution(finish->outcome.size, finish->outcome.final_gear,
+                            finish->final_segment_seconds);
+    } else if (const auto* action = std::get_if<pm::PmEvent>(&event);
+               action != nullptr &&
+               action->kind == pm::PmEventKind::kSleepInterval) {
+      meter_->add_sleep(action->seconds, action->watts);
+    }
   }
 }
 
@@ -221,77 +237,60 @@ void EnergyProbe::write_csv(std::ostream& out) const {
 WaitQueueTrace::WaitQueueTrace(util::SamplePlan plan)
     : plan_(plan), wait_sampler_(plan), depth_sampler_(plan) {}
 
-void WaitQueueTrace::on_run_begin(const RunBeginEvent& event) {
+void WaitQueueTrace::on_run_begin(const RunBeginEvent& /*event*/) {
   waits_.clear();
   wait_rows_.clear();
-  if (plan_.cap == 0 && event.job_count_hint >= 0) {
-    waits_.assign(static_cast<std::size_t>(event.job_count_hint), JobWait{});
-  }
   depth_.clear();
   queued_ = 0;
-  pending_.clear();
+  pending_ = {};
   wait_sampler_.reset();
   depth_sampler_.reset();
   has_open_ = false;
 }
 
-void WaitQueueTrace::on_submit(const SubmitEvent& event) {
-  ++queued_;
-  sample(event.time);
-  if (plan_.cap == 0) {
-    const auto index = static_cast<std::size_t>(event.trace_index);
-    if (index >= waits_.size()) waits_.resize(index + 1);
-    waits_[index].submit = event.job.submit;
-    waits_[index].depth_after_submit = queued_;
-  } else {
-    JobWait& wait = pending_[event.trace_index];
-    wait.submit = event.job.submit;
-    wait.depth_after_submit = queued_;
+void WaitQueueTrace::on_events(const JobResolver& jobs,
+                               const BatchedEvent* events, std::size_t count) {
+  for (const BatchedEvent& event : std::span(events, count)) {
+    if (const auto* submit = std::get_if<SubmitRecord>(&event)) {
+      ++queued_;
+      sample(submit->time);
+      (void)pending_.insert(
+          static_cast<JobId>(submit->trace_index),
+          JobWait{jobs.job_at(submit->trace_index).submit, 0, 0, queued_});
+    } else if (const auto* start = std::get_if<StartRecord>(&event)) {
+      --queued_;
+      sample(start->time);
+      const auto key = static_cast<JobId>(start->trace_index);
+      JobWait wait;
+      if (const JobWait* submitted = pending_.find(key)) {
+        wait = *submitted;
+        (void)pending_.erase(key);
+      }
+      wait.start = start->time;
+      wait.wait = start->time - jobs.job_at(start->trace_index).submit;
+      wait_sampler_.push({start->trace_index, wait});
+    }
   }
 }
 
-void WaitQueueTrace::on_start(const StartEvent& event) {
-  --queued_;
-  sample(event.time);
-  if (plan_.cap == 0) {
-    const auto index = static_cast<std::size_t>(event.trace_index);
-    if (index >= waits_.size()) waits_.resize(index + 1);
-    JobWait& wait = waits_[index];
-    wait.start = event.time;
-    wait.wait = event.time - event.job.submit;
-  } else {
-    const auto it = pending_.find(event.trace_index);
-    JobWait wait = it == pending_.end() ? JobWait{} : it->second;
-    if (it != pending_.end()) pending_.erase(it);
-    wait.start = event.time;
-    wait.wait = event.time - event.job.submit;
-    wait_sampler_.push({event.trace_index, wait});
-  }
-}
-
-void WaitQueueTrace::on_run_end(const RunEndEvent& event) {
-  (void)event;
-  if (plan_.cap == 0) return;
+void WaitQueueTrace::on_run_end(const RunEndEvent& /*event*/) {
   if (has_open_) {
     depth_sampler_.push(open_);
     has_open_ = false;
   }
-  // Retained waits are sampled in start order; present them in trace order
-  // like the dense path, with the true trace index labelling each row.
+  // Retained waits are sampled in start order; present them in trace
+  // order, with the true trace index labelling each row.
   auto retained = wait_sampler_.sorted();
   std::sort(retained.begin(), retained.end(),
             [](const auto& a, const auto& b) {
               return a.value.first < b.value.first;
             });
-  waits_.clear();
-  wait_rows_.clear();
   waits_.reserve(retained.size());
   wait_rows_.reserve(retained.size());
   for (const auto& item : retained) {
     wait_rows_.push_back(item.value.first);
     waits_.push_back(item.value.second);
   }
-  depth_.clear();
   depth_.reserve(depth_sampler_.retained());
   for (const auto& item : depth_sampler_.sorted()) {
     depth_.push_back(item.value);
@@ -299,16 +298,8 @@ void WaitQueueTrace::on_run_end(const RunEndEvent& event) {
 }
 
 void WaitQueueTrace::sample(Time time) {
-  if (plan_.cap == 0) {
-    if (!depth_.empty() && depth_.back().time == time) {
-      depth_.back().depth = queued_;
-    } else {
-      depth_.push_back(DepthSample{time, queued_});
-    }
-    return;
-  }
   // Coalesce same-time changes in the open sample; only closed instants
-  // enter the sampler, so retention below the cap matches the dense path.
+  // enter the sampler, so retention below the cap is exact.
   if (has_open_ && open_.time == time) {
     open_.depth = queued_;
     return;
@@ -323,8 +314,8 @@ void WaitQueueTrace::write_csv(std::ostream& out) const {
   csv.write_row({"job_index", "submit_s", "start_s", "wait_s",
                  "queue_depth_after_submit"});
   for (std::size_t i = 0; i < waits_.size(); ++i) {
-    const std::uint64_t label = i < wait_rows_.size() ? wait_rows_[i] : i;
-    csv.write_row({std::to_string(label), std::to_string(waits_[i].submit),
+    csv.write_row({std::to_string(wait_rows_[i]),
+                   std::to_string(waits_[i].submit),
                    std::to_string(waits_[i].start),
                    std::to_string(waits_[i].wait),
                    std::to_string(waits_[i].depth_after_submit)});
@@ -348,38 +339,34 @@ void UtilizationTrace::on_run_begin(const RunBeginEvent& event) {
   has_open_ = false;
 }
 
-void UtilizationTrace::on_start(const StartEvent& event) {
-  busy_ += event.job.size;
-  power_ += static_cast<double>(event.job.size) *
-            model_.active_power(event.gear);
-  sample(event.time);
-}
-
-void UtilizationTrace::on_gear_change(const GearChangeEvent& event) {
-  power_ += static_cast<double>(event.size) *
-            (model_.active_power(event.to) - model_.active_power(event.from));
-  sample(event.time);
-}
-
-void UtilizationTrace::on_finish(const FinishEvent& event) {
-  busy_ -= event.outcome.size;
-  power_ -= static_cast<double>(event.outcome.size) *
-            model_.active_power(event.outcome.final_gear);
-  sample(event.outcome.end);
+void UtilizationTrace::on_events(const JobResolver& jobs,
+                                 const BatchedEvent* events,
+                                 std::size_t count) {
+  for (const BatchedEvent& event : std::span(events, count)) {
+    if (const auto* start = std::get_if<StartRecord>(&event)) {
+      const std::int32_t size = jobs.job_at(start->trace_index).size;
+      busy_ += size;
+      power_ += static_cast<double>(size) * model_.active_power(start->gear);
+      sample(start->time);
+    } else if (const auto* change = std::get_if<GearChangeEvent>(&event)) {
+      power_ += static_cast<double>(change->size) *
+                (model_.active_power(change->to) -
+                 model_.active_power(change->from));
+      sample(change->time);
+    } else if (const auto* finish = std::get_if<FinishRecord>(&event)) {
+      busy_ -= finish->outcome.size;
+      power_ -= static_cast<double>(finish->outcome.size) *
+                model_.active_power(finish->outcome.final_gear);
+      sample(finish->outcome.end);
+    }
+  }
 }
 
 void UtilizationTrace::sample(Time time) {
   const Sample next{time, busy_,
                     cpus_ > 0 ? static_cast<double>(busy_) / cpus_ : 0.0,
                     power_};
-  if (plan_.cap == 0) {
-    if (!samples_.empty() && samples_.back().time == time) {
-      samples_.back() = next;
-    } else {
-      samples_.push_back(next);
-    }
-    return;
-  }
+  // Same-time coalescing before the sampler, as in WaitQueueTrace.
   if (has_open_ && open_.time == time) {
     open_ = next;
     return;
@@ -389,14 +376,11 @@ void UtilizationTrace::sample(Time time) {
   has_open_ = true;
 }
 
-void UtilizationTrace::on_run_end(const RunEndEvent& event) {
-  (void)event;
-  if (plan_.cap == 0) return;
+void UtilizationTrace::on_run_end(const RunEndEvent& /*event*/) {
   if (has_open_) {
     sampler_.push(open_);
     has_open_ = false;
   }
-  samples_.clear();
   samples_.reserve(sampler_.retained());
   for (const auto& item : sampler_.sorted()) samples_.push_back(item.value);
 }
@@ -421,7 +405,14 @@ void PmTrace::on_run_begin(const RunBeginEvent& event) {
   events_.clear();
 }
 
-void PmTrace::on_pm(const pm::PmEvent& event) { events_.push_back(event); }
+void PmTrace::on_events(const JobResolver& /*jobs*/,
+                        const BatchedEvent* events, std::size_t count) {
+  for (const BatchedEvent& event : std::span(events, count)) {
+    if (const auto* action = std::get_if<pm::PmEvent>(&event)) {
+      events_.push_back(*action);
+    }
+  }
+}
 
 void PmTrace::write_csv(std::ostream& out) const {
   util::CsvWriter csv(out);

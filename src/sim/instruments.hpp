@@ -18,11 +18,17 @@
 /// stream their output without knowing concrete types; typed accessors
 /// remain available via instrument_as<T>().
 ///
+/// Each instrument walks the delivered spans of value records once and
+/// picks the record kinds it measures with std::get_if; job fields the
+/// records do not carry (submit time, size) are read through the
+/// JobResolver. How the stream is cut into spans never changes a
+/// measurement.
+///
 /// The time-series instruments (WaitQueueTrace, UtilizationTrace) accept a
 /// util::SamplePlan so streaming million-job runs retain O(cap) points
-/// instead of O(jobs). The default plan (cap == 0) takes the exact legacy
-/// code path — output is byte-identical to the pre-sampling instruments —
-/// and a non-zero cap is exact whenever the series fits under it.
+/// instead of O(jobs). Every plan goes through the same sampler; the
+/// default plan (cap == 0) keeps every point, and a non-zero cap is exact
+/// whenever the series fits under it.
 #pragma once
 
 #include <cstddef>
@@ -37,6 +43,7 @@
 #include "power/energy_meter.hpp"
 #include "power/power_model.hpp"
 #include "sim/observer.hpp"
+#include "util/id_map.hpp"
 #include "util/sampler.hpp"
 
 namespace bsld::sim {
@@ -67,7 +74,8 @@ class JobRecorder final : public Instrument {
   [[nodiscard]] std::size_t rows() const override { return jobs_.size(); }
 
   void on_run_begin(const RunBeginEvent& event) override;
-  void on_finish(const FinishEvent& event) override;
+  void on_events(const JobResolver& jobs, const BatchedEvent* events,
+                 std::size_t count) override;
 
   [[nodiscard]] const std::vector<JobOutcome>& jobs() const { return jobs_; }
   /// Moves the recorded vector out (for SimulationResult assembly).
@@ -95,8 +103,9 @@ class AggregateAccumulator final : public Instrument {
   [[nodiscard]] std::size_t rows() const override { return 1; }
 
   void on_run_begin(const RunBeginEvent& event) override;
-  void on_finish(const FinishEvent& event) override;
-  void on_pm(const pm::PmEvent& event) override;
+  /// Finishes and pm actions (the pm counters below).
+  void on_events(const JobResolver& jobs, const BatchedEvent* events,
+                 std::size_t count) override;
 
   [[nodiscard]] std::int64_t count() const { return count_; }
   [[nodiscard]] double avg_bsld() const;
@@ -138,6 +147,8 @@ class AggregateAccumulator final : public Instrument {
     bool present = false;
   };
   static constexpr std::size_t kInitialPending = 64;
+  /// Folds one finish into the counts and the BSLD reorder buffer.
+  void add_finish(const FinishRecord& finish);
   /// Doubles the ring until `trace_index` fits, keeping every entry.
   void grow_pending(std::uint64_t trace_index);
 
@@ -166,11 +177,11 @@ class EnergyProbe final : public Instrument {
   [[nodiscard]] std::size_t rows() const override { return 1; }
 
   void on_run_begin(const RunBeginEvent& event) override;
-  void on_gear_change(const GearChangeEvent& event) override;
-  void on_finish(const FinishEvent& event) override;
-  /// Sleep intervals (kSleepInterval) reprice idle time below idle power;
-  /// other pm events carry no energy.
-  void on_pm(const pm::PmEvent& event) override;
+  /// Gear segments close at gear changes and finishes; sleep intervals
+  /// (kSleepInterval) reprice idle time below idle power, and other pm
+  /// events carry no energy.
+  void on_events(const JobResolver& jobs, const BatchedEvent* events,
+                 std::size_t count) override;
   void on_run_end(const RunEndEvent& event) override;
 
   /// Valid after on_run_end.
@@ -190,12 +201,12 @@ class EnergyProbe final : public Instrument {
 /// wait-queue depth over time (one sample per submit/start timestamp;
 /// same-time changes coalesce into the final depth at that instant).
 ///
-/// With a non-default SamplePlan both series are capped: waits are sampled
-/// over start order and re-sorted to trace order at on_run_end (row labels
-/// keep the true trace index), depth samples are committed through an
-/// "open sample" that coalesces same-time changes exactly like the dense
-/// path before entering the sampler. Below the cap both series are
-/// bit-identical to the unsampled instrument.
+/// Both series go through the plan's samplers: waits are sampled over
+/// start order and re-sorted to trace order at on_run_end (row labels keep
+/// the true trace index), and depth samples are committed through an "open
+/// sample" that coalesces same-time changes before entering the sampler.
+/// The default plan keeps every point; below a non-zero cap both series
+/// are exact.
 class WaitQueueTrace final : public Instrument {
  public:
   struct JobWait {
@@ -219,16 +230,16 @@ class WaitQueueTrace final : public Instrument {
   [[nodiscard]] std::size_t rows() const override { return waits_.size(); }
 
   void on_run_begin(const RunBeginEvent& event) override;
-  void on_submit(const SubmitEvent& event) override;
-  void on_start(const StartEvent& event) override;
+  void on_events(const JobResolver& jobs, const BatchedEvent* events,
+                 std::size_t count) override;
   void on_run_end(const RunEndEvent& event) override;
 
-  /// Retained per-job waits in trace order (complete after the run). With
-  /// the default plan this is dense — indexed by trace position; under a
-  /// cap, job_indices() labels each row.
+  /// Retained per-job waits in trace order (complete after the run);
+  /// job_indices() labels each row.
   [[nodiscard]] const std::vector<JobWait>& waits() const { return waits_; }
-  /// Trace index of each waits() row under a sampling cap; empty in exact
-  /// mode, where the row position is the trace index.
+  /// Trace index of each waits() row, ascending (complete after the run).
+  /// With the default plan every started job has a row, so row i is trace
+  /// index i.
   [[nodiscard]] const std::vector<std::uint64_t>& job_indices() const {
     return wait_rows_;
   }
@@ -246,8 +257,8 @@ class WaitQueueTrace final : public Instrument {
   std::vector<std::uint64_t> wait_rows_;
   std::vector<DepthSample> depth_;
   std::int64_t queued_ = 0;
-  // Sampled-path state (untouched when plan_.cap == 0).
-  std::map<std::uint64_t, JobWait> pending_;  ///< Submitted, not started.
+  /// Submitted, not yet started, keyed by trace index.
+  util::IdMap<JobWait> pending_;
   util::SeriesSampler<std::pair<std::uint64_t, JobWait>> wait_sampler_;
   util::SeriesSampler<DepthSample> depth_sampler_;
   DepthSample open_{};
@@ -255,10 +266,10 @@ class WaitQueueTrace final : public Instrument {
 };
 
 /// Utilization / active power over time: piecewise-constant between
-/// events, one sample per distinct start/boost/finish timestamp. Under a
-/// SamplePlan cap the series is thinned through the same open-sample
-/// commit scheme as WaitQueueTrace::depth() — same-time coalescing happens
-/// before the sampler sees a point, so retention below the cap is exact.
+/// events, one sample per distinct start/boost/finish timestamp, committed
+/// through the same open-sample scheme as WaitQueueTrace::depth() —
+/// same-time coalescing happens before the sampler sees a point, so
+/// retention below a SamplePlan cap is exact.
 class UtilizationTrace final : public Instrument {
  public:
   struct Sample {
@@ -278,9 +289,8 @@ class UtilizationTrace final : public Instrument {
   [[nodiscard]] std::size_t rows() const override { return samples_.size(); }
 
   void on_run_begin(const RunBeginEvent& event) override;
-  void on_start(const StartEvent& event) override;
-  void on_gear_change(const GearChangeEvent& event) override;
-  void on_finish(const FinishEvent& event) override;
+  void on_events(const JobResolver& jobs, const BatchedEvent* events,
+                 std::size_t count) override;
   void on_run_end(const RunEndEvent& event) override;
 
   /// Retained samples in time order (complete after the run).
@@ -295,7 +305,6 @@ class UtilizationTrace final : public Instrument {
   std::int64_t busy_ = 0;
   double power_ = 0.0;
   std::int32_t cpus_ = 0;
-  // Sampled-path state (untouched when plan_.cap == 0).
   util::SeriesSampler<Sample> sampler_;
   Sample open_{};
   bool has_open_ = false;
@@ -313,7 +322,8 @@ class PmTrace final : public Instrument {
   [[nodiscard]] std::size_t rows() const override { return events_.size(); }
 
   void on_run_begin(const RunBeginEvent& event) override;
-  void on_pm(const pm::PmEvent& event) override;
+  void on_events(const JobResolver& jobs, const BatchedEvent* events,
+                 std::size_t count) override;
 
   [[nodiscard]] const std::vector<pm::PmEvent>& events() const {
     return events_;

@@ -3,15 +3,13 @@
 ///
 /// The paper's whole evaluation (Figs. 3-9, Tables 1-3) is observational —
 /// different views of one event stream. A SimObserver receives that stream
-/// at the exact points sim::Simulation changes job state:
+/// through three hooks:
 ///
 ///   on_run_begin  once, before the first event;
-///   on_submit     a job entered the system (before the policy sees it);
-///   on_start      a job began executing at a gear;
-///   on_gear_change a running job was raised mid-flight (boost_job);
-///   on_finish     a job completed, with its fully-populated JobOutcome;
-///   on_pm         the run's power manager acted (cap moves, throttles,
-///                 gated admissions, sleep intervals — pm/event.hpp);
+///   on_events     a span of value records in emission order — submits,
+///                 starts, mid-flight gear changes (boost_job), finishes
+///                 with their fully-populated JobOutcome, and the power
+///                 manager's actions (pm/event.hpp);
 ///   on_run_end    once, after the event queue drained.
 ///
 /// All built-in measurement (per-job recording, aggregate BSLD/wait
@@ -58,8 +56,8 @@ class JobResolver {
 };
 
 /// Everything recorded about one job's execution. Built by the simulator
-/// when the job finishes and delivered through SimObserver::on_finish; the
-/// JobRecorder instrument retains these as SimulationResult::jobs.
+/// when the job finishes and delivered in a FinishRecord; the JobRecorder
+/// instrument retains these as SimulationResult::jobs.
 struct JobOutcome {
   JobId id = kNoJob;
   Time submit = 0;
@@ -89,26 +87,8 @@ struct RunBeginEvent {
   Time bsld_floor = 0;                ///< Th of the BSLD metric in force.
 };
 
-/// Payload of SimObserver::on_submit, fired before the policy reacts.
-struct SubmitEvent {
-  const wl::Job& job;              ///< Trace record of the submitted job.
-  std::uint64_t trace_index = 0;   ///< Position in stream order.
-  Time time = 0;                   ///< == job.submit.
-};
-
-/// Payload of SimObserver::on_start.
-struct StartEvent {
-  const wl::Job& job;              ///< Trace record of the started job.
-  std::uint64_t trace_index = 0;   ///< Position in stream order.
-  Time time = 0;                   ///< Start time (now).
-  GearIndex gear = 0;              ///< Gear engaged at start.
-  Time scaled_runtime = 0;         ///< Expected runtime at `gear`.
-  Time scaled_requested = 0;       ///< Requested time dilated by `gear`.
-};
-
-/// Payload of SimObserver::on_gear_change (mid-flight boost). The closed
-/// segment [time - segment_seconds, time) ran at `from`; execution
-/// continues at `to`.
+/// A mid-flight gear change (boost). The closed segment [time -
+/// segment_seconds, time) ran at `from`; execution continues at `to`.
 struct GearChangeEvent {
   JobId id = kNoJob;
   std::uint64_t trace_index = 0;   ///< Position in stream order.
@@ -117,15 +97,6 @@ struct GearChangeEvent {
   GearIndex from = 0;
   GearIndex to = 0;
   Time segment_seconds = 0;        ///< Wall seconds spent at `from`.
-};
-
-/// Payload of SimObserver::on_finish. `outcome` is complete (including the
-/// penalized BSLD); the final gear segment [outcome.end -
-/// final_segment_seconds, outcome.end) ran at outcome.final_gear.
-struct FinishEvent {
-  const JobOutcome& outcome;
-  std::uint64_t trace_index = 0;   ///< Position in stream order.
-  Time final_segment_seconds = 0;
 };
 
 /// Payload of SimObserver::on_run_end.
@@ -138,77 +109,71 @@ struct RunEndEvent {
   std::uint64_t events_processed = 0;
 };
 
-/// Value-form records of the batched event stream. The reference-carrying
-/// payloads above are views valid only for the duration of one hook call;
-/// these records store indices and values instead, so the simulation can
-/// buffer a span of them and deliver it later (SimObserver::on_events).
-/// The delivering JobResolver resolves trace_index back to the wl::Job.
+/// A job entered the system (before the policy sees it). Records store
+/// trace indices and values, never references, so the simulation can
+/// buffer a span of them and deliver it later (SimObserver::on_events);
+/// the delivering JobResolver resolves trace_index back to the wl::Job.
 struct SubmitRecord {
-  std::uint64_t trace_index = 0;
-  Time time = 0;
+  std::uint64_t trace_index = 0;   ///< Position in stream order.
+  Time time = 0;                   ///< == the job's submit time.
 };
 
-/// Value form of StartEvent (see SubmitRecord).
+/// A job began executing at a gear (see SubmitRecord).
 struct StartRecord {
-  std::uint64_t trace_index = 0;
-  Time time = 0;
-  GearIndex gear = 0;
-  Time scaled_runtime = 0;
-  Time scaled_requested = 0;
+  std::uint64_t trace_index = 0;   ///< Position in stream order.
+  Time time = 0;                   ///< Start time.
+  GearIndex gear = 0;              ///< Gear engaged at start.
+  Time scaled_runtime = 0;         ///< Expected runtime at `gear`.
+  Time scaled_requested = 0;       ///< Requested time dilated by `gear`.
 };
 
-/// Value form of FinishEvent: the outcome is carried by value so the
-/// record outlives the simulator's transient per-job state.
+/// A job completed. `outcome` is complete (including the penalized BSLD)
+/// and carried by value, so the record outlives the simulator's transient
+/// per-job state; the final gear segment [outcome.end -
+/// final_segment_seconds, outcome.end) ran at outcome.final_gear.
 struct FinishRecord {
   JobOutcome outcome;
-  std::uint64_t trace_index = 0;
+  std::uint64_t trace_index = 0;   ///< Position in stream order.
   Time final_segment_seconds = 0;
 };
 
-/// One buffered notification. GearChangeEvent and pm::PmEvent are already
-/// flat value types and are stored verbatim. Relative order inside the
-/// batch is exactly emission order — replay preserves the interleaving of
-/// submits, starts, gear changes, finishes, and pm actions.
+/// One buffered notification: a job record, a gear change, or a power
+/// manager action (pm/event.hpp; runs without a manager, or under
+/// `pm=none`, never emit one). Relative order inside a span is exactly
+/// emission order — the interleaving of submits, starts, gear changes,
+/// finishes and pm actions is preserved.
 using BatchedEvent = std::variant<SubmitRecord, StartRecord, GearChangeEvent,
                                   FinishRecord, pm::PmEvent>;
 
-/// Passive view over one simulation run. All hooks default to no-ops so
-/// concrete observers override only what they measure. Observers are
+/// Passive view over one simulation run. Every hook defaults to a no-op,
+/// so concrete observers override only what they measure. Observers are
 /// single-run: Simulation::run() delivers exactly one on_run_begin /
 /// on_run_end pair (built-in instruments reset themselves on on_run_begin,
 /// so reusing one across runs observes only the latest).
 ///
-/// Dispatch is batched: the simulation buffers the mid-run stream
-/// (submit/start/gear-change/finish/pm) and delivers it in spans through
-/// on_events — one virtual call per observer per span instead of one per
-/// event. The default on_events replays the span through the per-event
-/// virtuals below in emission order, so observers that only override
-/// per-event hooks see exactly the stream they always did; high-volume
-/// observers may override on_events itself to amortize dispatch.
-/// Ordering contract: every buffered event is flushed before on_run_end,
-/// and batching never reorders events — only delays delivery until the
-/// simulation's next flush point. Hooks must not re-enter the simulation.
+/// The simulation buffers the mid-run stream and delivers it in spans —
+/// one virtual call per observer per span. An observer walks the span and
+/// picks the record kinds it measures with std::get_if. Every buffered
+/// record is delivered before on_run_end, and spans never reorder records;
+/// where a span ends is the simulation's choice, so a measurement must not
+/// depend on it. Hooks must not re-enter the simulation.
 class SimObserver {
  public:
   virtual ~SimObserver() = default;
 
   virtual void on_run_begin(const RunBeginEvent& event) { (void)event; }
-  virtual void on_submit(const SubmitEvent& event) { (void)event; }
-  virtual void on_start(const StartEvent& event) { (void)event; }
-  virtual void on_gear_change(const GearChangeEvent& event) { (void)event; }
-  virtual void on_finish(const FinishEvent& event) { (void)event; }
-  /// A power-management action (pm/event.hpp). Runs without a manager —
-  /// or under `pm=none` — never deliver one.
-  virtual void on_pm(const pm::PmEvent& event) { (void)event; }
-  virtual void on_run_end(const RunEndEvent& event) { (void)event; }
 
-  /// Batched delivery of `count` records in emission order. `jobs`
-  /// resolves the records' trace indices; resolution is valid only during
-  /// this call (a streaming simulation evicts delivered jobs afterwards).
-  /// The default implementation replays each record through the matching
-  /// per-event virtual.
+  /// Delivers `count` records in emission order. `jobs` resolves the
+  /// records' trace indices; resolution is valid only during this call (a
+  /// streaming simulation evicts delivered jobs afterwards).
   virtual void on_events(const JobResolver& jobs, const BatchedEvent* events,
-                         std::size_t count);
+                         std::size_t count) {
+    (void)jobs;
+    (void)events;
+    (void)count;
+  }
+
+  virtual void on_run_end(const RunEndEvent& event) { (void)event; }
 };
 
 }  // namespace bsld::sim

@@ -24,7 +24,7 @@ struct Job {
   Time run_time = 0;            ///< Actual runtime at top frequency.
   Time requested_time = 0;      ///< User's runtime estimate (>= 1).
   std::int32_t size = 1;        ///< Number of processors (rigid job).
-  std::int32_t user_id = -1;    ///< Submitting user (for flurry cleaning).
+  std::int32_t user_id = -1;    ///< Submitting user (SWF field 12).
   /// Per-job frequency sensitivity for the beta time model; negative means
   /// "use the platform-wide beta" (the paper's assumption — per-job beta is
   /// its stated future work, exercised by the ablation bench).

@@ -209,11 +209,11 @@ class RecordAdapter final : public JobStream {
 
 /// Streaming kSwf pipeline: file → incremental parse → bounded (submit, id)
 /// sort → incremental clean → truncate/rebase. Matches a materialized
-/// parse → stable_sort → clean → slice of the whole file byte for byte: the
-/// cleaning rules applied here are per-record (flurry removal is off on
-/// this path), so they commute with the sort, and the truncation/rebase
-/// decision is made from a counting pre-pass over the whole file exactly
-/// when `source.jobs` would have sliced the materialized trace.
+/// parse → stable_sort → clean → slice of the whole file byte for byte:
+/// every cleaning rule is per-record (JobCleaner), so cleaning commutes
+/// with the sort, and the truncation/rebase decision is made from a
+/// counting pre-pass over the whole file exactly when `source.jobs` would
+/// have sliced the materialized trace.
 class SwfSourceStream final : public JobStream {
  public:
   SwfSourceStream(const WorkloadSource& source, CleanReport* clean_report)

@@ -12,8 +12,8 @@ namespace {
 
 constexpr double kSecondsPerDay = 86400.0;
 
-/// A small population of users, Zipf-ish activity (only used by the flurry
-/// cleaner and for realism of per-user patterns).
+/// A small population of users, Zipf-ish activity (written to SWF as the
+/// user field; the draw is part of the generator's random sequence).
 constexpr std::int32_t kUsers = 64;
 
 /// Relative arrival rate at absolute time t (daily cycle).

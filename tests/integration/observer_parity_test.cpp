@@ -120,7 +120,7 @@ TEST(ObserverParityTest, ParallelEqualsSerialWithInstrumentsAttached) {
 }
 
 TEST(ObserverParityTest, BoostedRunsStreamIdenticallyToRetainedRuns) {
-  // Dynamic raise exercises on_gear_change on a real archive; streaming
+  // Dynamic raise exercises gear-change records on a real archive; streaming
   // and retained paths must agree on every aggregate, including the
   // boost-dependent energy split.
   RunSpec retained = dvfs_spec(wl::Archive::kSDSCBlue, 800);

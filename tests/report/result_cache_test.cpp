@@ -55,6 +55,7 @@ void expect_same_sim(const sim::SimulationResult& a,
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.utilization, b.utilization);
   EXPECT_EQ(a.events_processed, b.events_processed);
+  EXPECT_EQ(a.peak_live_jobs, b.peak_live_jobs);
   ASSERT_EQ(a.jobs.size(), b.jobs.size());
   for (std::size_t i = 0; i < a.jobs.size(); ++i) {
     EXPECT_EQ(a.jobs[i].id, b.jobs[i].id);
@@ -159,6 +160,30 @@ TEST_F(ResultCacheTest, PowerManagedRunsRoundTripWithTheirSleepEnergy) {
   expect_same_sim(fresh.sim(), cached->sim());
   EXPECT_NE(spec.key(), small_spec().key());
   EXPECT_FALSE(cache.lookup(small_spec()).has_value());
+}
+
+TEST_F(ResultCacheTest, PeakLiveJobsRoundTripsAndItsAbsenceIsAMiss) {
+  const RunSpec spec = small_spec();
+  const RunResult fresh = run_one(spec);
+  ASSERT_GT(fresh.sim().peak_live_jobs, 0);
+
+  ResultCache cache(root_);
+  cache.store(fresh);
+  const auto cached = cache.lookup(spec);
+  ASSERT_TRUE(cached.has_value());
+  EXPECT_EQ(cached->sim().peak_live_jobs, fresh.sim().peak_live_jobs);
+
+  // An entry without the key is unreadable, not a peak of 0.
+  const fs::path path = cache.entry_path(spec);
+  std::string bytes = util::read_file_bytes(path).value();
+  const std::string line =
+      "peak_live_jobs = " + std::to_string(fresh.sim().peak_live_jobs) + "\n";
+  const std::size_t at = bytes.find(line);
+  ASSERT_NE(at, std::string::npos) << bytes.substr(0, 2000);
+  bytes.erase(at, line.size());
+  util::atomic_write_file(path, bytes);
+  EXPECT_FALSE(cache.lookup(spec).has_value());
+  EXPECT_EQ(cache.counters().corrupt, 1u);
 }
 
 TEST_F(ResultCacheTest, TruncatedEntryIsCorruptMissAndRecovers) {

@@ -8,13 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
+#include "pm/registry.hpp"
 #include "sim/instrument_registry.hpp"
 #include "testing/helpers.hpp"
 #include "util/error.hpp"
+#include "workload/archives.hpp"
 
 namespace bsld::sim {
 namespace {
@@ -23,10 +28,15 @@ using testing::Models;
 using testing::job;
 using testing::workload;
 
-/// Feeds hand-built events straight into an observer — instruments are
+/// Feeds hand-built records straight into an observer — instruments are
 /// plain objects, so measurement logic is testable without a simulation.
-struct EventFeeder {
+/// Trace indices resolve to the workload's jobs.
+struct EventFeeder final : JobResolver {
   explicit EventFeeder(const wl::Workload& load) : load_(load) {}
+
+  [[nodiscard]] const wl::Job& job_at(std::uint64_t trace_index) const override {
+    return load_.jobs.at(static_cast<std::size_t>(trace_index));
+  }
 
   void begin(SimObserver& observer, std::int32_t cpus,
              std::size_t gear_count) {
@@ -37,8 +47,9 @@ struct EventFeeder {
 
   void finish(SimObserver& observer, std::size_t trace_index,
               const JobOutcome& outcome) {
-    observer.on_finish(FinishEvent{outcome, trace_index,
-                                   outcome.end - outcome.start});
+    const BatchedEvent record = FinishRecord{outcome, trace_index,
+                                             outcome.end - outcome.start};
+    observer.on_events(*this, &record, 1);
   }
 
   const wl::Workload& load_;
@@ -229,6 +240,125 @@ TEST(UtilizationTraceTest, PiecewiseBusyCoresAndPower) {
   EXPECT_EQ(trace.samples()[2].time, 200);
   EXPECT_EQ(trace.samples()[2].busy_cores, 0);
   EXPECT_NEAR(trace.samples()[2].power_watts, 0.0, 1e-9);
+}
+
+/// Copies one run's whole record stream, plus every job a record names,
+/// so the stream can be delivered again after the run.
+class StreamCapture final : public SimObserver, public JobResolver {
+ public:
+  void on_run_begin(const RunBeginEvent& event) override {
+    name_ = event.workload_name;
+    begin = event;
+    begin.workload_name = name_;
+  }
+  void on_events(const JobResolver& jobs, const BatchedEvent* events,
+                 std::size_t count) override {
+    for (std::size_t i = 0; i < count; ++i) {
+      records.push_back(events[i]);
+      if (const auto* submit = std::get_if<SubmitRecord>(&events[i])) {
+        jobs_.resize(std::max<std::size_t>(jobs_.size(),
+                                           submit->trace_index + 1));
+        jobs_[submit->trace_index] = jobs.job_at(submit->trace_index);
+      }
+    }
+  }
+  void on_run_end(const RunEndEvent& event) override { end = event; }
+
+  [[nodiscard]] const wl::Job& job_at(std::uint64_t trace_index) const override {
+    return jobs_.at(static_cast<std::size_t>(trace_index));
+  }
+
+  /// Delivers the captured run to `observer` in spans of at most `span`
+  /// records.
+  void replay(SimObserver& observer, std::size_t span) const {
+    observer.on_run_begin(begin);
+    for (std::size_t i = 0; i < records.size(); i += span) {
+      observer.on_events(*this, records.data() + i,
+                         std::min(span, records.size() - i));
+    }
+    observer.on_run_end(end);
+  }
+
+  RunBeginEvent begin;
+  std::vector<BatchedEvent> records;
+  RunEndEvent end;
+
+ private:
+  std::string name_;
+  std::vector<wl::Job> jobs_;
+};
+
+std::string csv_of(const Instrument& instrument) {
+  std::ostringstream out;
+  instrument.write_csv(out);
+  return out.str();
+}
+
+TEST(InstrumentGranularityTest, SpanBoundariesNeverChangeAMeasurement) {
+  // A tight cap re-gears running jobs (gear-change records) and the sleep
+  // manager emits sleep intervals, so every record kind reaches every
+  // instrument. Each built-in instrument, with and without a sampling
+  // cap, must render the same CSV live, from the captured stream as one
+  // span, and from it one record per span.
+  Models models;
+  const wl::Workload load = wl::make_archive_workload(wl::Archive::kSDSC, 300);
+  pm::PmSpec cap;
+  cap.name = "cap-uniform";
+  cap.cap_watts = 4000.0;
+  pm::PmSpec sleep;
+  sleep.name = "sleep";
+  for (const pm::PmSpec& pm_spec : {cap, sleep}) {
+    for (const std::uint64_t sample_cap : {0u, 64u}) {
+      SCOPED_TRACE(pm_spec.name + " cap " + std::to_string(sample_cap));
+      const InstrumentContext context{models.power, models.time,
+                                      util::SamplePlan{{}, sample_cap, 0}};
+      const auto manager =
+          pm::PowerManagerRegistry::global().make(pm_spec, models.power);
+      core::DvfsConfig dvfs;
+      dvfs.bsld_threshold = 2.0;
+      dvfs.wq_threshold = 16;
+      const auto policy =
+          core::make_policy(core::BasePolicy::kEasy, dvfs, "FirstFit");
+      SimulationConfig config;
+      config.power_manager = manager.get();
+      wl::VectorJobStream stream = testing::stream_of(load);
+      Simulation simulation(stream, *policy, models.power, models.time,
+                            config);
+      StreamCapture capture;
+      simulation.add_observer(capture);
+      std::vector<std::unique_ptr<Instrument>> live;
+      for (const std::string& name : InstrumentRegistry::global().names()) {
+        live.push_back(InstrumentRegistry::global().make(name, context));
+        simulation.add_observer(*live.back());
+      }
+      (void)simulation.run();
+
+      const auto has = [&](auto kind) {
+        return std::any_of(capture.records.begin(), capture.records.end(),
+                           [](const BatchedEvent& record) {
+                             return std::holds_alternative<decltype(kind)>(
+                                 record);
+                           });
+      };
+      EXPECT_TRUE(has(SubmitRecord{}) && has(StartRecord{}) &&
+                  has(FinishRecord{}) && has(pm::PmEvent{}));
+      if (pm_spec.name == "cap-uniform") {
+        EXPECT_TRUE(has(GearChangeEvent{}));
+      }
+
+      for (const auto& instrument : live) {
+        SCOPED_TRACE(instrument->name());
+        const auto whole =
+            InstrumentRegistry::global().make(instrument->name(), context);
+        const auto single =
+            InstrumentRegistry::global().make(instrument->name(), context);
+        capture.replay(*whole, capture.records.size());
+        capture.replay(*single, 1);
+        EXPECT_EQ(csv_of(*whole), csv_of(*instrument));
+        EXPECT_EQ(csv_of(*single), csv_of(*whole));
+      }
+    }
+  }
 }
 
 TEST(InstrumentRegistryTest, BuiltinsAreRegisteredSorted) {

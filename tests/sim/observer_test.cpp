@@ -17,7 +17,7 @@ using testing::Models;
 using testing::job;
 using testing::workload;
 
-/// Appends one tag per hook invocation, with payload snapshots.
+/// Appends one tag per delivered record, with payload snapshots.
 class RecordingObserver final : public SimObserver {
  public:
   struct GearChange {
@@ -33,20 +33,25 @@ class RecordingObserver final : public SimObserver {
     cpus = event.cpus;
     gear_count = event.gear_count;
   }
-  void on_submit(const SubmitEvent& event) override {
-    sequence.push_back({'q', event.job.id, event.time});
-  }
-  void on_start(const StartEvent& event) override {
-    sequence.push_back({'s', event.job.id, event.time});
-  }
-  void on_gear_change(const GearChangeEvent& event) override {
-    gear_changes.push_back({event.id, event.from, event.to, event.time,
-                            event.segment_seconds});
-  }
-  void on_finish(const FinishEvent& event) override {
-    sequence.push_back({'f', event.outcome.id, event.outcome.end});
-    outcomes.push_back(event.outcome);
-    final_segments.push_back(event.final_segment_seconds);
+  void on_events(const JobResolver& jobs, const BatchedEvent* events,
+                 std::size_t count) override {
+    for (std::size_t i = 0; i < count; ++i) {
+      if (const auto* submit = std::get_if<SubmitRecord>(&events[i])) {
+        sequence.push_back(
+            {'q', jobs.job_at(submit->trace_index).id, submit->time});
+      } else if (const auto* start = std::get_if<StartRecord>(&events[i])) {
+        sequence.push_back(
+            {'s', jobs.job_at(start->trace_index).id, start->time});
+      } else if (const auto* change =
+                     std::get_if<GearChangeEvent>(&events[i])) {
+        gear_changes.push_back({change->id, change->from, change->to,
+                                change->time, change->segment_seconds});
+      } else if (const auto* finish = std::get_if<FinishRecord>(&events[i])) {
+        sequence.push_back({'f', finish->outcome.id, finish->outcome.end});
+        outcomes.push_back(finish->outcome);
+        final_segments.push_back(finish->final_segment_seconds);
+      }
+    }
   }
   void on_run_end(const RunEndEvent& event) override {
     ++run_ends;
