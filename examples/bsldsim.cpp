@@ -244,9 +244,9 @@ int run_cache_maintenance(const util::Cli& cli) {
   return 0;
 }
 
-/// --sweep: expand the grid file and stream it through SweepRunner in grid
-/// order. Single-run flags (--workload, --bsld, ...) do not apply — the
-/// grid file is self-contained.
+/// --sweep: expand the grid file, run it through SweepRunner and print the
+/// slots this shard owns in grid order. Single-run flags (--workload,
+/// --bsld, ...) do not apply — the grid file is self-contained.
 int run_sweep(const util::Cli& cli, const std::string& format) {
   const std::vector<report::RunSpec> specs =
       report::expand_grid(util::Config::load_file(cli.get("sweep")));
@@ -259,24 +259,26 @@ int run_sweep(const util::Cli& cli, const std::string& format) {
   options.shard_count = static_cast<unsigned>(cli.get_int("shard-count"));
   report::SweepRunner runner(options);
 
-  std::optional<report::CsvResultSink> csv;
-  std::optional<report::JsonlResultSink> jsonl;
-  std::optional<report::ReorderingSink> ordered;
-  report::TableResultSink table;
-  if (format == "csv") {
-    csv.emplace(std::cout);
-    ordered.emplace(*csv);
-    runner.add_sink(*ordered);
-  } else if (format == "jsonl") {
-    jsonl.emplace(std::cout);
-    ordered.emplace(*jsonl);
-    runner.add_sink(*ordered);
-  } else {
-    runner.add_sink(table);
-  }
+  const std::vector<report::RunResult> results = runner.run(specs);
 
-  (void)runner.run(specs);
-  if (format == "table") std::cout << table.table();
+  // This shard's slots in grid order: what the shard prints, and what
+  // --merge-shards sorts back into the serial output.
+  std::vector<std::size_t> slots;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (report::shard_of(specs[i], options.shard_count) ==
+        options.shard_index) {
+      slots.push_back(i);
+    }
+  }
+  if (format == "csv") {
+    report::CsvResultSink csv(std::cout);
+    for (const std::size_t slot : slots) csv.on_result(slot, results[slot]);
+  } else if (format == "jsonl") {
+    report::JsonlResultSink jsonl(std::cout);
+    for (const std::size_t slot : slots) jsonl.on_result(slot, results[slot]);
+  } else {
+    std::cout << report::result_table(results, slots);
+  }
 
   const report::SweepRunner::Progress& progress = runner.progress();
   std::ostream& notice = format == "table" ? std::cout : std::cerr;

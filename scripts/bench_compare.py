@@ -22,7 +22,10 @@ Two modes, both stdlib-only:
       list, compare throughput (items_per_second when reported, else
       1/real_time) between the fresh run and the checked-in baseline, and
       exit 1 when any guarded benchmark regressed by more than the
-      threshold. Guarded names missing from the fresh run fail (a deleted
+      threshold. A run with repetitions (--benchmark_repetitions=N) is
+      gated on the median of its raw repetitions, so one outlier cannot
+      decide the verdict; the coefficient of variation (CV) of each
+      guarded benchmark's repetitions is printed beside its delta. Guarded names missing from the fresh run fail (a deleted
       benchmark must be removed from the guard list deliberately); names
       missing from the baseline are skipped with a note (new benchmarks
       enter the gate when the baseline is refreshed).
@@ -36,6 +39,11 @@ Two modes, both stdlib-only:
       also appends a markdown baseline/current/ratio table to the job
       summary, so the gate's numbers are readable without opening logs.
 
+  bench_compare.py --self-test
+      Prove on synthetic artifacts that a single outlier among five
+      repetitions decides neither a pass nor a failure (ctest
+      `tools.bench_compare_selftest`).
+
 The baseline lives in bench/BENCH_baseline.json and is refreshed with
 `scripts/run_bench.sh --update-baseline` on quiet hardware. To land a PR
 with a known, accepted regression, apply the `bench-regression-override`
@@ -45,7 +53,10 @@ label (see .github/workflows/ci.yml) — the gate job is skipped.
 import argparse
 import json
 import os
+import statistics
+import subprocess
 import sys
+import tempfile
 
 
 def load(path):
@@ -84,16 +95,31 @@ def build_type(data, path):
     return stamp
 
 
-def by_name(data):
+def samples_by_name(data):
+    """Raw throughput samples per benchmark name, one per repetition.
+    Aggregate rows (mean/median/stddev/cv) are skipped: the gate computes
+    its own statistics from the raw repetitions."""
     table = {}
     for entry in data["benchmarks"]:
-        # Skip aggregate rows (mean/median/stddev) — compare raw runs.
         if entry.get("run_type") == "aggregate":
             continue
         rate = throughput(entry)
         if entry.get("name") and rate is not None:
-            table[entry["name"]] = rate
+            table.setdefault(entry["name"], []).append(rate)
     return table
+
+
+def by_name(data):
+    """Median throughput of each benchmark's raw repetitions."""
+    return {name: statistics.median(rates)
+            for name, rates in samples_by_name(data).items()}
+
+
+def cv_text(rates):
+    """Coefficient of variation of the repetitions, or n/a for one run."""
+    if not rates or len(rates) < 2:
+        return "n/a"
+    return f"{statistics.stdev(rates) / statistics.mean(rates) * 100.0:.1f}%"
 
 
 def write_step_summary(rows, max_regression_pct, failed):
@@ -126,9 +152,48 @@ def write_step_summary(rows, max_regression_pct, failed):
               file=sys.stderr)
 
 
+def self_test():
+    """One outlier among five repetitions must not decide the verdict:
+    a slow last repetition of a steady benchmark passes, and a fast last
+    repetition of a regressed one still fails."""
+    script = os.path.abspath(__file__)
+
+    def artifact(path, rates):
+        rows = [{"name": "BM_Steady", "run_type": "iteration",
+                 "repetition_index": i, "items_per_second": rate}
+                for i, rate in enumerate(rates)]
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"context": {"bsld_build_type": "Release"},
+                       "benchmarks": rows}, handle)
+
+    def gate(fresh_rates, tmp):
+        artifact(os.path.join(tmp, "base.json"), [100.0])
+        artifact(os.path.join(tmp, "fresh.json"), fresh_rates)
+        with open(os.path.join(tmp, "guard.list"), "w",
+                  encoding="utf-8") as handle:
+            handle.write("BM_Steady\n")
+        run = subprocess.run(
+            [sys.executable, script, os.path.join(tmp, "fresh.json"),
+             os.path.join(tmp, "base.json"), "--max-regression-pct", "25",
+             "--guard", os.path.join(tmp, "guard.list")],
+            capture_output=True, text=True, check=False)
+        return run.returncode == 0
+
+    with tempfile.TemporaryDirectory() as tmp:
+        if not gate([101.0, 99.0, 100.0, 102.0, 30.0], tmp):
+            sys.exit("bench_compare --self-test: FAIL — one slow outlier "
+                     "failed a steady benchmark")
+        if gate([50.0, 52.0, 49.0, 51.0, 100.0], tmp):
+            sys.exit("bench_compare --self-test: FAIL — one fast outlier "
+                     "passed a regressed benchmark")
+    print("bench_compare --self-test: OK (the median of five repetitions "
+          "decides, not one outlier)")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("fresh", help="freshly produced BENCH_micro.json")
+    parser.add_argument("fresh", nargs="?",
+                        help="freshly produced BENCH_micro.json")
     parser.add_argument("baseline", nargs="?",
                         help="checked-in baseline to gate against")
     parser.add_argument("--check", action="store_true",
@@ -143,7 +208,14 @@ def main():
                         help="file listing guarded benchmark names, one per "
                              "line (# comments); default: every benchmark "
                              "present in both runs")
+    parser.add_argument("--self-test", action="store_true",
+                        help="prove the median gate on synthetic artifacts")
     args = parser.parse_args()
+    if args.self_test:
+        self_test()
+        return
+    if not args.fresh:
+        sys.exit("bench_compare: a fresh benchmark file is required")
 
     fresh = load(args.fresh)
     if args.stamp_build_type:
@@ -181,6 +253,7 @@ def main():
                  f"-DCMAKE_BUILD_TYPE={baseline_type} and re-run, or refresh "
                  "the baseline (`scripts/run_bench.sh --update-baseline`) "
                  "from the configuration you intend to gate on")
+    fresh_samples = samples_by_name(fresh)
     fresh_rates = by_name(fresh)
     baseline_rates = by_name(baseline)
 
@@ -196,7 +269,9 @@ def main():
 
     failures = []
     rows = []  # (name, baseline, fresh, ratio) for the step summary.
-    print(f"{'benchmark':40s} {'baseline':>12s} {'fresh':>12s} {'delta':>8s}")
+    print(f"{'benchmark':40s} {'baseline':>12s} {'fresh':>12s} {'delta':>8s} "
+          f"{'cv':>7s}  (fresh: median of "
+          f"{max(map(len, fresh_samples.values()), default=0)} repetitions)")
     for name in guarded:
         if name not in fresh_rates:
             failures.append(f"{name}: missing from {args.fresh} (remove it "
@@ -212,7 +287,8 @@ def main():
         base = baseline_rates[name]
         now = fresh_rates[name]
         delta_pct = (now - base) / base * 100.0
-        print(f"{name:40s} {base:12.3g} {now:12.3g} {delta_pct:+7.1f}%")
+        print(f"{name:40s} {base:12.3g} {now:12.3g} {delta_pct:+7.1f}% "
+              f"{cv_text(fresh_samples[name]):>7s}")
         rows.append((name, base, now, now / base))
         if delta_pct < -args.max_regression_pct:
             failures.append(

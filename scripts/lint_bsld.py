@@ -31,7 +31,7 @@ can express, over src/, tests/, examples/ and bench/:
                    carry a comment (same or preceding line) saying why.
   iostream         Library code under src/ must not include <iostream>:
                    diagnostics go through util::log, payload output goes
-                   through the sinks/CSV writers. The CLI/daemon entry
+                   through the row/CSV writers. The CLI/daemon entry
                    points that legitimately own stdout/stderr carry a
                    suppression naming that fact.
   eager-ingest     src/ outside src/workload (where it is defined) must

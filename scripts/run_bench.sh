@@ -13,7 +13,9 @@
 # benchmark another tree (CI smokes reuse the tier-1 `build`).
 #
 # Options (must come first):
-#   --compare BASELINE.json   After running, diff the fresh JSON against the
+#   --compare BASELINE.json   Run every benchmark 5 times
+#                             (--benchmark_repetitions=5), then diff the
+#                             median of the fresh repetitions against the
 #                             baseline with scripts/bench_compare.py and exit
 #                             non-zero on >BENCH_MAX_REGRESSION_PCT (default
 #                             25) percent throughput regression in the
@@ -173,9 +175,17 @@ if [[ $update_baseline -eq 1 && "$build_type" != "Release" ]]; then
   exit 1
 fi
 
+# The gate compares medians, so a compared run needs repetitions; explicit
+# bench arguments come later and win.
+repetitions=()
+if [[ -n "$compare_baseline" ]]; then
+  repetitions=(--benchmark_repetitions=5)
+fi
+
 "$build_dir/bench/bench_micro" \
   --benchmark_out="$out" \
   --benchmark_out_format=json \
+  ${repetitions[@]+"${repetitions[@]}"} \
   ${1+"$@"}
 
 if [[ ! -s "$out" ]]; then

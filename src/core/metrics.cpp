@@ -22,10 +22,6 @@ double bsld_impl(Time wait, double effective_run, Time run_for_floor,
 
 }  // namespace
 
-double bounded_slowdown(Time wait, Time run_time, Time floor) {
-  return bsld_impl(wait, static_cast<double>(run_time), run_time, floor);
-}
-
 double predicted_bsld(Time wait, Time requested, double coefficient,
                       Time floor) {
   BSLD_REQUIRE(coefficient >= 1.0, "BSLD: dilation coefficient below 1");

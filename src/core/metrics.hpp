@@ -14,9 +14,6 @@ namespace bsld::core {
 /// minutes can be assumed to be very short jobs").
 inline constexpr Time kDefaultBsldFloor = 600;
 
-/// Eq. 1: BSLD = max((wait + run) / max(Th, run), 1).
-double bounded_slowdown(Time wait, Time run_time, Time floor = kDefaultBsldFloor);
-
 /// Eq. 2: predicted BSLD of starting a job after `wait` seconds at a gear
 /// with dilation `coefficient`, given the user's `requested` runtime:
 /// max((wait + requested * coefficient) / max(Th, requested), 1).
@@ -25,7 +22,8 @@ double predicted_bsld(Time wait, Time requested, double coefficient,
 
 /// Eq. 6: BSLD of a completed, possibly frequency-reduced job. The numerator
 /// uses the penalized (dilated) runtime; the denominator keeps the runtime
-/// at top frequency (see DESIGN.md §4, decision 5).
+/// at top frequency (see DESIGN.md §4, decision 5). At the top gear the two
+/// runtimes are equal and this is Eq. 1: max((wait + run) / max(Th, run), 1).
 double penalized_bsld(Time wait, Time penalized_run_time, Time run_time_at_top,
                       Time floor = kDefaultBsldFloor);
 

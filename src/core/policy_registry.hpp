@@ -84,13 +84,6 @@ class PolicyRegistry {
     assigners_.add(name, std::move(description), std::move(factory));
   }
 
-  [[nodiscard]] bool has_policy(const std::string& name) const {
-    return policies_.has(name);
-  }
-  [[nodiscard]] bool has_assigner(const std::string& name) const {
-    return assigners_.has(name);
-  }
-
   /// Throw bsld::Error when `name` is unknown, listing what is registered.
   void require_policy(const std::string& name) const {
     policies_.require(name);

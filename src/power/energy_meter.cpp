@@ -6,8 +6,7 @@ namespace bsld::power {
 
 EnergyMeter::EnergyMeter(const PowerModel& model)
     : model_(model),
-      core_seconds_(model.gears().size(), 0.0),
-      executions_(model.gears().size(), 0) {}
+      core_seconds_(model.gears().size(), 0.0) {}
 
 void EnergyMeter::add_execution(std::int32_t size, GearIndex gear,
                                 Time scaled_runtime) {
@@ -17,7 +16,6 @@ void EnergyMeter::add_execution(std::int32_t size, GearIndex gear,
                "EnergyMeter: gear out of range");
   core_seconds_[static_cast<std::size_t>(gear)] +=
       static_cast<double>(size) * static_cast<double>(scaled_runtime);
-  ++executions_[static_cast<std::size_t>(gear)];
 }
 
 void EnergyMeter::add_sleep(double core_seconds, double power_watts) {
@@ -62,18 +60,6 @@ EnergyReport EnergyMeter::report(std::int32_t cpus, Time horizon) const {
   }
   out.total_joules = out.computational_joules + out.idle_joules;
   return out;
-}
-
-double EnergyMeter::core_seconds_at(GearIndex gear) const {
-  BSLD_REQUIRE(gear >= 0 && static_cast<std::size_t>(gear) < core_seconds_.size(),
-               "EnergyMeter: gear out of range");
-  return core_seconds_[static_cast<std::size_t>(gear)];
-}
-
-std::int64_t EnergyMeter::executions_at(GearIndex gear) const {
-  BSLD_REQUIRE(gear >= 0 && static_cast<std::size_t>(gear) < executions_.size(),
-               "EnergyMeter: gear out of range");
-  return executions_[static_cast<std::size_t>(gear)];
 }
 
 }  // namespace bsld::power

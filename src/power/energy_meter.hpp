@@ -50,19 +50,11 @@ class EnergyMeter {
   /// contain the recorded busy time (accounting bug guard).
   [[nodiscard]] EnergyReport report(std::int32_t cpus, Time horizon) const;
 
-  /// Busy core-seconds recorded at `gear`.
-  [[nodiscard]] double core_seconds_at(GearIndex gear) const;
-
-  /// Jobs recorded per gear (diagnostics; Fig. 4 counts come from the
-  /// simulation result, which also knows requested gears).
-  [[nodiscard]] std::int64_t executions_at(GearIndex gear) const;
-
   [[nodiscard]] const PowerModel& model() const { return model_; }
 
  private:
   const PowerModel& model_;
   std::vector<double> core_seconds_;   ///< Indexed by gear.
-  std::vector<std::int64_t> executions_;
   double sleep_core_seconds_ = 0.0;
   double sleep_joules_ = 0.0;
 };

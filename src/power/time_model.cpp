@@ -30,10 +30,6 @@ double BetaTimeModel::coefficient_with_beta(GearIndex gear,
   return beta_override * (gears_.frequency_ratio(gear) - 1.0) + 1.0;
 }
 
-Time BetaTimeModel::scale_duration(Time duration_at_top, GearIndex gear) const {
-  return scale_duration_with_beta(duration_at_top, gear, -1.0);
-}
-
 Time BetaTimeModel::scale_duration_with_beta(Time duration_at_top,
                                              GearIndex gear,
                                              double beta_override) const {

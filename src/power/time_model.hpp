@@ -31,10 +31,8 @@ class BetaTimeModel {
                                              double beta_override) const;
 
   /// Duration at `gear` for a job that takes `duration_at_top` at the top
-  /// gear, rounded to whole seconds (minimum 1 s for positive inputs).
-  [[nodiscard]] Time scale_duration(Time duration_at_top, GearIndex gear) const;
-
-  /// scale_duration with a per-job beta override (< 0 = model beta).
+  /// gear, rounded to whole seconds (minimum 1 s for positive inputs), with
+  /// a per-job beta override (< 0 = model beta).
   [[nodiscard]] Time scale_duration_with_beta(Time duration_at_top,
                                               GearIndex gear,
                                               double beta_override) const;

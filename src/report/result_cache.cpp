@@ -110,6 +110,7 @@ struct Reader {
   }
 
   [[nodiscard]] bool at_end() const { return pos == bytes.size(); }
+  [[nodiscard]] std::size_t remaining() const { return bytes.size() - pos; }
 };
 
 /// Matches `[<name> <key1>=<v1> <key2>=<v2> ...]` against an expected
@@ -342,6 +343,9 @@ bool parse_entry(std::string_view bytes, const std::string& expected_key,
   if (!section_attrs(line, "jobs", {"count", "fields"}, attrs)) return false;
   std::size_t job_count = 0;
   if (!parse_int(attrs[0], job_count) || attrs[1] != kJobFields) return false;
+  // A row is at least 12 one-digit cells, 11 commas and '\n': a count the
+  // remaining bytes cannot hold is corrupt and must not size the reserve.
+  if (job_count > reader.remaining() / 24) return false;
   payload.jobs.clear();
   payload.jobs.reserve(job_count);
   for (std::size_t i = 0; i < job_count; ++i) {
@@ -496,13 +500,12 @@ ResultCache::DiskStats ResultCache::disk_stats() const {
   return stats;
 }
 
-std::size_t ResultCache::remove_epochs(bool include_current) {
+std::size_t ResultCache::clear() {
   std::size_t removed = 0;
   std::error_code ec;
   for (const auto& epoch :
        std::filesystem::directory_iterator(root_, ec)) {
     if (!epoch.is_directory() || !is_epoch_dir(epoch.path())) continue;
-    if (!include_current && epoch.path() == epoch_dir()) continue;
     std::error_code walk_ec;
     for (const auto& entry : std::filesystem::recursive_directory_iterator(
              epoch.path(), walk_ec)) {
@@ -513,10 +516,6 @@ std::size_t ResultCache::remove_epochs(bool include_current) {
   }
   return removed;
 }
-
-std::size_t ResultCache::clear() { return remove_epochs(true); }
-
-std::size_t ResultCache::evict_stale_epochs() { return remove_epochs(false); }
 
 std::size_t ResultCache::trim(std::uintmax_t max_bytes) {
   struct Candidate {

@@ -16,7 +16,7 @@
 ///
 /// where <epoch> is kSchemaEpoch (bumped whenever the entry format or the
 /// simulation's numeric behaviour changes — stale epochs are simply never
-/// read and are reclaimed by evict_stale_epochs()), <hh> the first two hex
+/// read and are reclaimed by clear()), <hh> the first two hex
 /// digits of the hash (fan-out), and <hash16> the full 16-digit hash of
 /// the spec key. Every entry embeds the full spec key and is verified on
 /// read, so hash collisions degrade to cache misses.
@@ -24,16 +24,17 @@
 /// Guarantees:
 ///  * atomic publication — entries are written tmp + rename
 ///    (util::atomic_write_file), so readers never see a partial entry;
-///  * corruption tolerance — a truncated, tampered or wrong-epoch entry is
-///    treated as a miss (and dropped), never an error: the run is simply
-///    recomputed and the entry rewritten;
+///  * corruption tolerance — a truncated, structurally damaged or
+///    wrong-epoch entry is treated as a miss (and dropped), never an error:
+///    the run is simply recomputed and the entry rewritten. There is no
+///    checksum: a changed digit inside a value that still parses is served;
 ///  * concurrent writers — same-entry writers serialize through a
 ///    util::FileLock sidecar, and cross-process last-writer-wins is safe
 ///    because equal keys hold equal content.
 ///
 /// Cache hits reconstruct instruments as CachedInstrument: name, row count
-/// and rendered CSV are preserved byte-for-byte (sink output of a warm
-/// sweep is byte-identical to the cold sweep), while typed accessors
+/// and rendered CSV are preserved byte-for-byte (the rendered output of a
+/// warm sweep is byte-identical to the cold sweep), while typed accessors
 /// (instrument_as<T>) intentionally return nullptr — a cached run replays
 /// measurements, it does not re-measure.
 #pragma once
@@ -129,12 +130,9 @@ class ResultCache {
   /// Scans the store. Purely informational; safe concurrently with use.
   [[nodiscard]] DiskStats disk_stats() const;
 
-  /// Removes every entry of every epoch. Returns entries removed.
+  /// Removes every entry of every epoch, including those left behind by
+  /// older binaries. Returns entries removed.
   std::size_t clear();
-
-  /// Removes entries persisted under epochs != kSchemaEpoch (left behind
-  /// by older binaries). Returns entries removed.
-  std::size_t evict_stale_epochs();
 
   /// Evicts oldest-first (by write time) until the current epoch holds at
   /// most `max_bytes` of entries. Returns entries removed.
@@ -148,8 +146,6 @@ class ResultCache {
  private:
   [[nodiscard]] std::filesystem::path epoch_dir() const;
   void drop_entry(const std::filesystem::path& path);
-  /// Shared walk behind clear() / evict_stale_epochs().
-  std::size_t remove_epochs(bool include_current);
 
   std::filesystem::path root_;  ///< Immutable after construction.
   mutable util::Mutex mutex_;

@@ -108,29 +108,16 @@ void JsonlResultSink::on_result(std::size_t index, const RunResult& result) {
   out_ << line.str() << std::flush;
 }
 
-void ReorderingSink::on_result(std::size_t index, const RunResult& result) {
-  pending_[index] = result;
-}
-
-void ReorderingSink::on_done(std::size_t total) {
-  for (const auto& [index, result] : pending_) {
-    inner_.on_result(index, result);
-  }
-  pending_.clear();
-  inner_.on_done(total);
-}
-
-util::Table TableResultSink::table() const {
+util::Table result_table(const std::vector<RunResult>& results,
+                         const std::vector<std::size_t>& slots) {
   util::Table table(result_row_headers());
   for (std::size_t c = 2; c < result_row_headers().size(); ++c) {
     table.set_align(c, util::Align::kRight);
   }
-  for (const auto& [_, row] : rows_) table.add_row(row);
+  for (const std::size_t slot : slots) {
+    table.add_row(result_row(slot, results[slot]));
+  }
   return table;
-}
-
-void TableResultSink::on_result(std::size_t index, const RunResult& result) {
-  rows_[index] = result_row(index, result);
 }
 
 }  // namespace bsld::report

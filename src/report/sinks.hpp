@@ -1,85 +1,60 @@
 /// \file sinks.hpp
-/// \brief Ready-made SweepRunner result sinks: stream a grid's headline
-/// metrics to CSV or JSON Lines as runs complete, or collect them into an
-/// aligned table for terminal output. All render one record per grid slot
-/// with the spec's derived label, so any grid — paper figure or ad-hoc
-/// sweep — gets uniform, diffable output without per-binary wiring.
+/// \brief Renderers of sweep results: write a grid's headline metrics as
+/// CSV or JSON Lines rows, or as an aligned table for terminal output.
+/// Callers hand them the grid-order vector that SweepRunner::run() or
+/// SubmitHandle::wait() returns. All render one record per grid slot with
+/// the spec's derived label, so any grid — paper figure or ad-hoc sweep —
+/// gets uniform, diffable output without per-binary wiring.
 #pragma once
 
 #include <cstddef>
 #include <iosfwd>
-#include <map>
+#include <string>
 #include <vector>
 
-#include "report/sweep.hpp"
+#include "report/experiment.hpp"
 #include "util/table.hpp"
 
 namespace bsld::report {
 
-/// The shared column set of both sinks.
+/// The shared column set of the CSV writer and the table.
 std::vector<std::string> result_row_headers();
 
 /// Renders one result as cells matching result_row_headers().
 std::vector<std::string> result_row(std::size_t index, const RunResult& result);
 
-/// Streams results as CSV rows in completion order (the `index` column
-/// recovers grid order). The header row is written up front.
-class CsvResultSink final : public ResultSink {
+/// Writes results as CSV rows, one per on_result() call, in the order the
+/// caller passes them (the `index` column names the grid slot). The header
+/// row is written up front.
+class CsvResultSink {
  public:
-  /// Writes into `out`; the stream must outlive the sink.
+  /// Writes into `out`; the stream must outlive the writer.
   explicit CsvResultSink(std::ostream& out);
 
-  void on_result(std::size_t index, const RunResult& result) override;
+  void on_result(std::size_t index, const RunResult& result);
 
  private:
   std::ostream& out_;
 };
 
-/// Streams results as JSON Lines: one self-contained JSON object per
-/// completed run, in completion order (the "index" field recovers grid
-/// order). Numbers are emitted in shortest round-trip form; attached
-/// instruments are listed by name so downstream tooling knows which views
-/// were captured.
-class JsonlResultSink final : public ResultSink {
+/// Writes results as JSON Lines: one self-contained JSON object per
+/// on_result() call (the "index" field names the grid slot). Numbers are
+/// emitted in shortest round-trip form; attached instruments are listed by
+/// name so downstream tooling knows which views were captured.
+class JsonlResultSink {
  public:
-  /// Writes into `out`; the stream must outlive the sink.
+  /// Writes into `out`; the stream must outlive the writer.
   explicit JsonlResultSink(std::ostream& out);
 
-  void on_result(std::size_t index, const RunResult& result) override;
+  void on_result(std::size_t index, const RunResult& result);
 
  private:
   std::ostream& out_;
 };
 
-/// Decorator: buffers results and replays them into `inner` in ascending
-/// grid order at on_done. Turns any streaming sink's completion-order
-/// output into deterministic grid-order output — what bsldsim --sweep
-/// emits, and the property that makes shard outputs mergeable into a
-/// byte-identical serial result set. Costs O(grid) buffered results.
-class ReorderingSink final : public ResultSink {
- public:
-  /// Replays into `inner`; must outlive this sink. inner.on_done runs
-  /// after the replay, with the same total.
-  explicit ReorderingSink(ResultSink& inner) : inner_(inner) {}
-
-  void on_result(std::size_t index, const RunResult& result) override;
-  void on_done(std::size_t total) override;
-
- private:
-  ResultSink& inner_;
-  std::map<std::size_t, RunResult> pending_;  ///< ascending grid order.
-};
-
-/// Collects results and renders them as a util::Table in grid order.
-class TableResultSink final : public ResultSink {
- public:
-  /// The accumulated table; call after SweepRunner::run returns.
-  [[nodiscard]] util::Table table() const;
-
-  void on_result(std::size_t index, const RunResult& result) override;
-
- private:
-  std::map<std::size_t, std::vector<std::string>> rows_;  ///< grid order.
-};
+/// Renders `results[slot]` for each of `slots`, in the order given, as an
+/// aligned util::Table with result_row_headers() columns.
+[[nodiscard]] util::Table result_table(const std::vector<RunResult>& results,
+                                       const std::vector<std::size_t>& slots);
 
 }  // namespace bsld::report

@@ -21,29 +21,20 @@ namespace {
 /// Within-batch deduplication shared by run() and submit(): `unique[u]`
 /// is the representative spec index, `fanout[u]` every slot its result
 /// serves.
-void dedup_specs(const std::vector<RunSpec>& specs, bool dedup,
+void dedup_specs(const std::vector<RunSpec>& specs,
                  std::vector<std::size_t>& unique,
                  std::vector<std::vector<std::size_t>>& fanout) {
-  if (dedup) {
-    // Views into the specs' memoized key strings: stable for the duration
-    // of this call, so the map never copies the (long) key text.
-    std::unordered_map<std::string_view, std::size_t> by_key;
-    by_key.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      const auto [it, inserted] = by_key.emplace(specs[i].key(), unique.size());
-      if (inserted) {
-        unique.push_back(i);
-        fanout.emplace_back();
-      }
-      fanout[it->second].push_back(i);
+  // Views into the specs' memoized key strings: stable for the duration of
+  // this call, so the map never copies the (long) key text.
+  std::unordered_map<std::string_view, std::size_t> by_key;
+  by_key.reserve(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const auto [it, inserted] = by_key.emplace(specs[i].key(), unique.size());
+    if (inserted) {
+      unique.push_back(i);
+      fanout.emplace_back();
     }
-  } else {
-    unique.resize(specs.size());
-    fanout.resize(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      unique[i] = i;
-      fanout[i] = {i};
-    }
+    fanout[it->second].push_back(i);
   }
 }
 
@@ -62,19 +53,16 @@ struct SweepRunner::SubmitHandle::Batch {
   /// Slots still awaiting a result/error.
   std::size_t unresolved BSLD_GUARDED_BY(mutex) = 0;
   std::exception_ptr error BSLD_GUARDED_BY(mutex);
-  /// Invoked only under `mutex` (delivery is serialized per batch).
-  ResultCallback on_result BSLD_GUARDED_BY(mutex);
   /// run()'s progress-callback channel: invoked once per distinct spec's
-  /// delivery group, after the slots and counters are in. Same locking
-  /// discipline as on_result.
+  /// delivery group, after the slots and counters are in, only under
+  /// `mutex` (delivery is serialized per batch).
   ProgressCallback on_group BSLD_GUARDED_BY(mutex);
 
   /// Pre-fills one result slot per spec. Constructors run before the
   /// batch is shared, so the guarded members are safely written bare.
-  Batch(const std::vector<RunSpec>& specs, ResultCallback callback,
-        ProgressCallback group)
+  Batch(const std::vector<RunSpec>& specs, ProgressCallback group)
       : results(specs.size()), unresolved(specs.size()),
-        on_result(std::move(callback)), on_group(std::move(group)) {
+        on_group(std::move(group)) {
     for (std::size_t i = 0; i < specs.size(); ++i) {
       results[i].spec = specs[i];
     }
@@ -113,16 +101,11 @@ struct SweepRunner::SubmitHandle::Batch {
         break;
     }
     unresolved -= slots.size();
-    if ((on_result || on_group) && served != Served::kShardSkipped) {
+    if (on_group && served != Served::kShardSkipped) {
       // A throwing callback must not escape a pool worker (std::terminate
-      // would take the whole daemon down); it surfaces at wait() instead.
+      // would take the whole process down); it surfaces at wait() instead.
       try {
-        if (on_result) {
-          for (const std::size_t slot : slots) {
-            on_result(slot, results[slot]);
-          }
-        }
-        if (on_group) on_group(progress, results[slots.front()].spec);
+        on_group(progress, results[slots.front()].spec);
       } catch (...) {
         if (!error) error = std::current_exception();
       }
@@ -173,8 +156,6 @@ struct SweepRunner::PendingRun {
 SweepRunner::SweepRunner(Options options) : options_(options) {}
 
 SweepRunner::~SweepRunner() { shutdown(); }
-
-void SweepRunner::add_sink(ResultSink& sink) { sinks_.push_back(&sink); }
 
 void SweepRunner::on_progress(ProgressCallback callback) {
   callback_ = std::move(callback);
@@ -257,20 +238,19 @@ void SweepRunner::worker_loop() {
 }
 
 SweepRunner::SubmitHandle SweepRunner::submit(
-    const std::vector<RunSpec>& specs, ResultCallback on_result) {
-  return submit_impl(specs, std::move(on_result), {});
+    const std::vector<RunSpec>& specs) {
+  return submit_impl(specs, {});
 }
 
 SweepRunner::SubmitHandle SweepRunner::submit_impl(
-    const std::vector<RunSpec>& specs, ResultCallback on_result,
-    ProgressCallback on_group) {
+    const std::vector<RunSpec>& specs, ProgressCallback on_group) {
   BSLD_REQUIRE(options_.shard_count > 0,
                "SweepRunner: shard_count must be positive");
   BSLD_REQUIRE(options_.shard_index < options_.shard_count,
                "SweepRunner: shard_index must be < shard_count");
 
-  auto batch = std::make_shared<SubmitHandle::Batch>(
-      specs, std::move(on_result), std::move(on_group));
+  auto batch =
+      std::make_shared<SubmitHandle::Batch>(specs, std::move(on_group));
 
   SubmitHandle handle;
   handle.batch_ = batch;
@@ -278,14 +258,14 @@ SweepRunner::SubmitHandle SweepRunner::submit_impl(
 
   std::vector<std::size_t> unique;
   std::vector<std::vector<std::size_t>> fanout;
-  dedup_specs(specs, options_.dedup, unique, fanout);
+  dedup_specs(specs, unique, fanout);
 
   // Never throw once a slot may have been enqueued: an exception here
-  // would unwind the submitter while queued tasks still reference its
-  // on_result captures (shutdown() drains the queue and would invoke a
-  // dangling callback). Failures — including submit-after-shutdown —
-  // resolve the affected slots as batch errors and surface at wait(),
-  // which the submitter always reaches.
+  // would unwind run() while queued tasks still reference its progress
+  // callback (shutdown() drains the queue and would invoke a dangling
+  // callback). Failures — including submit-after-shutdown — resolve the
+  // affected slots as batch errors and surface at wait(), which the
+  // submitter always reaches.
   using Served = SubmitHandle::Batch::Served;
   for (std::size_t u = 0; u < unique.size(); ++u) {
     const RunSpec& spec = specs[unique[u]];
@@ -306,18 +286,16 @@ SweepRunner::SubmitHandle SweepRunner::submit_impl(
         const util::ScopedLock lock(pool_mutex_);
         BSLD_REQUIRE(!stopping_, "SweepRunner: submit() after shutdown()");
         start_pool_locked();
-        if (options_.dedup) {
-          const auto it = inflight_.find(spec.key());
-          if (it != inflight_.end()) {
-            // Coalesce with the identical spec another batch is running.
-            it->second->subscribers.push_back({batch, fanout[u], false});
-            continue;
-          }
+        const auto it = inflight_.find(spec.key());
+        if (it != inflight_.end()) {
+          // Coalesce with the identical spec another batch is running.
+          it->second->subscribers.push_back({batch, fanout[u], false});
+          continue;
         }
         auto task = std::make_shared<PendingRun>();
         task->spec = spec;
         task->subscribers.push_back({batch, fanout[u], true});
-        if (options_.dedup) inflight_.emplace(spec.key(), task);
+        inflight_.emplace(spec.key(), task);
         queue_.push_back(std::move(task));
       }
       pool_cv_.notify_one();
@@ -345,17 +323,10 @@ void SweepRunner::shutdown() {
 // ---------------------------------------------------------------------------
 
 std::vector<RunResult> SweepRunner::run(const std::vector<RunSpec>& specs) {
-  // One batch through the same persistent pool submit() feeds: registered
-  // sinks fan out per slot, the progress callback fires once per distinct
-  // completed spec. Both hooks run inside the batch's delivery lock, so
-  // their view is serialized exactly as before the collapse.
-  ResultCallback deliver;
-  if (!sinks_.empty()) {
-    deliver = [this](std::size_t index, const RunResult& result) {
-      for (ResultSink* sink : sinks_) sink->on_result(index, result);
-    };
-  }
-  SubmitHandle handle = submit_impl(specs, std::move(deliver), callback_);
+  // One batch through the same persistent pool submit() feeds; the
+  // progress callback fires once per distinct completed spec, inside the
+  // batch's delivery lock.
+  SubmitHandle handle = submit_impl(specs, callback_);
 
   std::vector<RunResult> results;
   std::exception_ptr error;
@@ -372,7 +343,6 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunSpec>& specs) {
     progress_ = snapshot;
   }
   if (error) std::rethrow_exception(error);
-  for (ResultSink* sink : sinks_) sink->on_done(specs.size());
   return results;
 }
 

@@ -7,16 +7,17 @@
 /// in input order regardless of completion order, so parallel and serial
 /// execution are bit-identical (covered by tests).
 ///
-/// SweepRunner is the full-featured engine: streaming result sinks that
-/// observe runs as they complete, progress callbacks, spec-keyed
+/// SweepRunner is the full-featured engine: progress callbacks, spec-keyed
 /// deduplication (identical specs inside a grid — e.g. a shared baseline —
 /// simulate once and fan the result out), transparent persistence through
 /// an optional report::ResultCache (hit = no simulation), and deterministic
 /// partitioning of a grid across processes/machines (shard_index /
 /// shard_count — each distinct spec belongs to exactly one shard, decided
 /// by the stable hash of its key, so shard outputs merge back into the
-/// serial result set). run_all() remains as the thin compatibility wrapper
-/// most call sites need.
+/// serial result set). Results have one path: the grid-order vector that
+/// run() and SubmitHandle::wait() return, which callers render (e.g. with
+/// the row writers of report/sinks.hpp). run_all() remains as the thin
+/// compatibility wrapper most call sites need.
 ///
 /// For long-lived processes (bsldsim serve) the runner also offers
 /// submit(): thread-safe incremental batch submission into one persistent
@@ -48,20 +49,6 @@ class ResultCache;
 /// partitions the grid identically.
 [[nodiscard]] unsigned shard_of(const RunSpec& spec, unsigned shard_count);
 
-/// Observer of a sweep's results as they complete (streaming).
-class ResultSink {
- public:
-  virtual ~ResultSink() = default;
-
-  /// Called once per grid slot, in completion order, serialized under the
-  /// runner's lock. `index` is the slot's position in the submitted grid;
-  /// with dedup on, one simulation may fan out to several indices.
-  virtual void on_result(std::size_t index, const RunResult& result) = 0;
-
-  /// Called once after the whole grid drained successfully.
-  virtual void on_done(std::size_t total) { (void)total; }
-};
-
 /// Runs RunSpec grids over a jthread pool.
 class SweepRunner {
  public:
@@ -69,18 +56,14 @@ class SweepRunner {
     /// Worker threads in the persistent pool (started lazily by the first
     /// run()/submit()); 0 = hardware concurrency.
     unsigned threads = 0;
-    /// Simulate spec-identical grid entries once (keyed on RunSpec::key())
-    /// and copy the result to every duplicate slot. Runs are deterministic,
-    /// so this is observationally equivalent and strictly cheaper.
-    bool dedup = true;
     /// Persistent result store consulted before every distinct simulation
     /// and written back after (non-owning; nullptr = no caching). Cached
-    /// results replay sink output byte-identically.
+    /// results render byte-identically.
     ResultCache* cache = nullptr;
     /// This process's slice of the grid: only specs with
-    /// shard_of(spec, shard_count) == shard_index are executed and streamed
-    /// to sinks; foreign slots are counted as shard_skipped and returned as
-    /// empty results. shard_count == 1 runs everything.
+    /// shard_of(spec, shard_count) == shard_index are executed; foreign
+    /// slots are counted as shard_skipped and returned as empty results.
+    /// shard_count == 1 runs everything.
     unsigned shard_index = 0;
     unsigned shard_count = 1;
   };
@@ -100,13 +83,6 @@ class SweepRunner {
   using ProgressCallback =
       std::function<void(const Progress& progress, const RunSpec& finished)>;
 
-  /// Per-slot delivery callback for submit(): called once per input slot
-  /// as results land — from worker threads or from the submitting thread
-  /// (cache hits) — not necessarily in input order. Must not call back
-  /// into the handle it belongs to.
-  using ResultCallback =
-      std::function<void(std::size_t index, const RunResult& result)>;
-
   SweepRunner() : SweepRunner(Options{}) {}
   explicit SweepRunner(Options options);
 
@@ -116,24 +92,20 @@ class SweepRunner {
   SweepRunner(const SweepRunner&) = delete;
   SweepRunner& operator=(const SweepRunner&) = delete;
 
-  /// Registers a non-owning streaming sink. Must outlive run().
-  void add_sink(ResultSink& sink);
-
   /// Registers the progress callback (replacing any previous one).
   void on_progress(ProgressCallback callback);
 
   /// Runs all specs through the persistent pool (started lazily, shared
   /// with submit(), kept alive for the next batch) and returns results in
   /// input order. The first exception — a failed simulation or a throwing
-  /// sink/progress callback — is rethrown on the calling thread after the
-  /// batch drains; sinks only see the results that were delivered and
-  /// their on_done() is not called on error. With shard_count > 1, slots
-  /// owned by other shards come back as empty results carrying only their
-  /// spec. Throws bsld::Error when shard_index >= shard_count (before
-  /// anything is enqueued) and after shutdown(). Reentrant: safe to call
-  /// concurrently from several threads (each call keeps its own batch;
-  /// registered sinks would observe interleaved runs, so callers sharing
-  /// a runner across threads should prefer submit()).
+  /// progress callback — is rethrown on the calling thread after the batch
+  /// drains. With shard_count > 1, slots owned by other shards come back
+  /// as empty results carrying only their spec. Throws bsld::Error when
+  /// shard_index >= shard_count (before anything is enqueued) and after
+  /// shutdown(). Reentrant: safe to call concurrently from several threads
+  /// (each call keeps its own batch; the progress callback would observe
+  /// interleaved runs, so callers sharing a runner across threads should
+  /// prefer submit()).
   std::vector<RunResult> run(const std::vector<RunSpec>& specs)
       BSLD_EXCLUDES(progress_mutex_, pool_mutex_);
 
@@ -141,15 +113,14 @@ class SweepRunner {
   /// submit() report through their own SubmitHandle::progress().
   [[nodiscard]] Progress progress() const BSLD_EXCLUDES(progress_mutex_);
 
-  /// One batch accepted by submit(): incremental result delivery plus a
-  /// barrier for the submitter. Discarding the handle discards the only
-  /// way to observe the batch's errors, so it is [[nodiscard]].
+  /// One batch accepted by submit(): a barrier for the submitter that
+  /// hands back the batch's results. Discarding the handle discards the
+  /// only way to observe the batch's errors, so it is [[nodiscard]].
   class [[nodiscard]] SubmitHandle {
    public:
     /// Blocks until every slot of the batch has a result, then returns
     /// them in input order (single use — results are moved out). Rethrows
-    /// the batch's first error — a failed simulation or a throwing
-    /// on_result callback.
+    /// the batch's first error.
     std::vector<RunResult> wait();
 
     /// The batch's own counters (stable after wait() returned).
@@ -167,17 +138,15 @@ class SweepRunner {
   /// workers (0 = hardware concurrency; started lazily on first submit).
   ///
   /// Cache hits are resolved synchronously on the calling thread — a warm
-  /// batch completes without ever touching the worker pool. With dedup
-  /// on, slots identical to a spec already in flight (same or another
-  /// batch) attach to that simulation instead of enqueueing a duplicate.
-  /// Sharding options partition exactly as in run(). Registered sinks and
-  /// the progress callback are NOT notified; per-slot delivery goes to
-  /// `on_result`. submit() itself only throws on invalid shard options
+  /// batch completes without ever touching the worker pool. Slots
+  /// identical to a spec already in flight (same or another batch) attach
+  /// to that simulation instead of enqueueing a duplicate. Sharding
+  /// options partition exactly as in run(). The progress callback is NOT
+  /// notified. submit() itself only throws on invalid shard options
   /// (before anything is enqueued); any later failure — including
   /// submitting after shutdown() — resolves into the batch and rethrows
-  /// from wait(), so `on_result`'s captures stay alive until then.
-  [[nodiscard]] SubmitHandle submit(const std::vector<RunSpec>& specs,
-                                    ResultCallback on_result = {})
+  /// from wait().
+  [[nodiscard]] SubmitHandle submit(const std::vector<RunSpec>& specs)
       BSLD_EXCLUDES(pool_mutex_);
 
   /// Stops accepting new batches, finishes everything already queued and
@@ -195,7 +164,6 @@ class SweepRunner {
   /// channel) fires once per distinct completed spec, inside the batch's
   /// delivery lock; empty for plain submit().
   [[nodiscard]] SubmitHandle submit_impl(const std::vector<RunSpec>& specs,
-                                         ResultCallback on_result,
                                          ProgressCallback on_group)
       BSLD_EXCLUDES(pool_mutex_);
 
@@ -203,9 +171,8 @@ class SweepRunner {
   void worker_loop() BSLD_EXCLUDES(pool_mutex_);
 
   Options options_;  ///< Immutable after construction.
-  /// sinks_ and callback_ must be registered before the first run();
-  /// worker threads read them unguarded afterwards.
-  std::vector<ResultSink*> sinks_;
+  /// Must be registered before the first run(); worker threads read it
+  /// unguarded afterwards.
   ProgressCallback callback_;
 
   mutable util::Mutex progress_mutex_;
@@ -221,8 +188,8 @@ class SweepRunner {
 };
 
 /// Compatibility wrapper: runs all specs, `threads` at a time (0 = hardware
-/// concurrency), no sinks, dedup on. Exceptions from any run are rethrown
-/// on the calling thread after the pool drains.
+/// concurrency). Exceptions from any run are rethrown on the calling thread
+/// after the pool drains.
 std::vector<RunResult> run_all(const std::vector<RunSpec>& specs,
                                unsigned threads = 0);
 

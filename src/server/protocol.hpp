@@ -16,7 +16,7 @@
 ///
 ///   ok <k>=<v> ... bytes=<B>\n   attributes, then exactly B payload
 ///   <B raw payload bytes>        bytes (the sweep output in grid order,
-///   end\n                        rendered by the regular result sinks),
+///   end\n                        rendered by the regular row writers),
 ///                                then the closing frame line
 ///   err <message>\n              malformed request or failed run; the
 ///                                message names the offending key/flag

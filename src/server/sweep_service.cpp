@@ -1,13 +1,11 @@
 #include "server/sweep_service.hpp"
 
-#include <optional>
 #include <sstream>
 
 #include "report/grid.hpp"
 #include "report/result_cache.hpp"
 #include "report/sinks.hpp"
 #include "util/error.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace bsld::server {
 
@@ -34,29 +32,21 @@ SweepService::RunReply SweepService::run(const Request& request) {
   const std::vector<report::RunSpec> specs =
       report::expand_grid(request.config);
 
-  std::ostringstream out;
-  std::optional<report::CsvResultSink> csv;
-  std::optional<report::JsonlResultSink> jsonl;
-  report::ResultSink* inner = nullptr;
-  if (request.format == "jsonl") {
-    jsonl.emplace(out);
-    inner = &*jsonl;
-  } else {
-    csv.emplace(out);
-    inner = &*csv;
-  }
-  report::ReorderingSink ordered(*inner);
+  report::SweepRunner::SubmitHandle handle = runner_.submit(specs);
+  const std::vector<report::RunResult> results = handle.wait();
 
-  // Results land from worker threads and from the submitting thread
-  // (cache hits); the reordering sink is not thread-safe by itself.
-  util::Mutex sink_mutex;
-  report::SweepRunner::SubmitHandle handle = runner_.submit(
-      specs, [&](std::size_t index, const report::RunResult& result) {
-        const util::ScopedLock lock(sink_mutex);
-        ordered.on_result(index, result);
-      });
-  (void)handle.wait();  // rethrows the first failed run.
-  ordered.on_done(specs.size());
+  std::ostringstream out;
+  if (request.format == "jsonl") {
+    report::JsonlResultSink jsonl(out);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      jsonl.on_result(i, results[i]);
+    }
+  } else {
+    report::CsvResultSink csv(out);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      csv.on_result(i, results[i]);
+    }
+  }
 
   RunReply reply;
   reply.payload = out.str();

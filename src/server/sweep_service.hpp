@@ -6,9 +6,9 @@
 /// through report::expand_grid and goes into SweepRunner::submit(): all
 /// concurrent clients batch into the one persistent worker pool, identical
 /// in-flight specs simulate once, and warm specs are answered straight
-/// from the report::ResultCache without ever touching the pool. The
-/// payload streams through the regular result sinks (CsvResultSink /
-/// JsonlResultSink behind a ReorderingSink), so a query's bytes are
+/// from the report::ResultCache without ever touching the pool. Once the
+/// batch drains, its grid-order results are written by the regular row
+/// writers (CsvResultSink / JsonlResultSink), so a query's bytes are
 /// identical to what `bsldsim --spec/--sweep --format ...` prints for the
 /// same config.
 #pragma once
@@ -40,7 +40,7 @@ class SweepService {
 
   /// Everything a `run` reply needs.
   struct RunReply {
-    std::string payload;  ///< sink output in grid order.
+    std::string payload;  ///< rendered rows in grid order.
     std::size_t rows = 0;  ///< grid slots rendered.
     report::SweepRunner::Progress progress;  ///< the request's counters.
   };

@@ -14,8 +14,8 @@
 ///    time (piecewise-constant between events).
 ///
 /// An Instrument is an observer with a name and a CSV rendering, so the
-/// sim::InstrumentRegistry can construct them by string key and sinks can
-/// stream their output without knowing concrete types; typed accessors
+/// sim::InstrumentRegistry can construct them by string key and callers can
+/// write their output without knowing concrete types; typed accessors
 /// remain available via instrument_as<T>().
 ///
 /// Each instrument walks the delivered spans of value records once and

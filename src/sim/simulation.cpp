@@ -421,13 +421,4 @@ SimulationResult Simulation::run() {
   return result;
 }
 
-SimulationResult run_simulation(wl::JobStream& stream,
-                                core::SchedulingPolicy& policy,
-                                const power::PowerModel& power_model,
-                                const power::BetaTimeModel& time_model,
-                                SimulationConfig config) {
-  Simulation simulation(stream, policy, power_model, time_model, config);
-  return simulation.run();
-}
-
 }  // namespace bsld::sim

@@ -1,5 +1,5 @@
 /// \file csv.hpp
-/// \brief Minimal CSV writing/reading (RFC-4180 quoting) for experiment
+/// \brief Minimal CSV writing (RFC-4180 quoting) for experiment
 /// artifacts such as the Fig. 6 wait-time series.
 #pragma once
 
@@ -21,11 +21,6 @@ class CsvWriter {
  private:
   std::ostream& out_;
 };
-
-/// Parses CSV text into rows of cells. Handles quoted cells with embedded
-/// commas, escaped quotes ("") and newlines. Throws bsld::Error on an
-/// unterminated quoted cell.
-std::vector<std::vector<std::string>> parse_csv(const std::string& text);
 
 /// Quotes a single cell if it contains characters requiring quoting.
 std::string csv_escape(const std::string& cell);

@@ -115,16 +115,6 @@ double Rng::lognormal(double mu, double sigma) {
   return std::exp(normal(mu, sigma));
 }
 
-double Rng::weibull(double shape, double scale) {
-  BSLD_REQUIRE(shape > 0.0 && scale > 0.0,
-               "weibull(): shape and scale must be positive");
-  double u;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return scale * std::pow(-std::log(u), 1.0 / shape);
-}
-
 double Rng::discrete_total(const std::vector<double>& weights) {
   double total = 0.0;
   for (double w : weights) {

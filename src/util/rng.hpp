@@ -60,8 +60,6 @@ class Rng {
   double normal(double mean, double stddev);
   /// Log-normal variate parameterized by the underlying normal's mu/sigma.
   double lognormal(double mu, double sigma);
-  /// Two-parameter Weibull variate (shape k > 0, scale lambda > 0).
-  double weibull(double shape, double scale);
   /// Samples an index in [0, weights.size()) proportionally to weights.
   /// Requires at least one strictly positive weight.
   std::size_t discrete(const std::vector<double>& weights);

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
-
-#include "util/error.hpp"
 
 namespace bsld::util {
 
@@ -24,24 +21,6 @@ void RunningStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStats::mean() const { return n_ == 0 ? 0.0 : mean_; }
 
 double RunningStats::variance() const {
@@ -56,77 +35,6 @@ double RunningStats::min() const {
 
 double RunningStats::max() const {
   return n_ == 0 ? -std::numeric_limits<double>::infinity() : max_;
-}
-
-double percentile(std::vector<double> values, double q) {
-  BSLD_REQUIRE(!values.empty(), "percentile(): empty sample");
-  BSLD_REQUIRE(q >= 0.0 && q <= 100.0, "percentile(): q outside [0, 100]");
-  std::sort(values.begin(), values.end());
-  if (values.size() == 1) return values.front();
-  const double rank = q / 100.0 * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] + (values[hi] - values[lo]) * frac;
-}
-
-double mean_of(const std::vector<double>& values) {
-  BSLD_REQUIRE(!values.empty(), "mean_of(): empty sample");
-  double sum = 0.0;
-  for (double v : values) sum += v;
-  return sum / static_cast<double>(values.size());
-}
-
-double time_weighted_average(
-    const std::vector<std::pair<double, double>>& steps, double horizon_end) {
-  BSLD_REQUIRE(!steps.empty(), "time_weighted_average(): empty series");
-  BSLD_REQUIRE(horizon_end >= steps.front().first,
-               "time_weighted_average(): horizon precedes first breakpoint");
-  double weighted = 0.0;
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    const double start = steps[i].first;
-    const double end = (i + 1 < steps.size()) ? steps[i + 1].first : horizon_end;
-    BSLD_REQUIRE(end >= start, "time_weighted_average(): unsorted series");
-    weighted += steps[i].second * (std::min(end, horizon_end) - start);
-  }
-  const double span = horizon_end - steps.front().first;
-  return span > 0.0 ? weighted / span : steps.back().second;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  BSLD_REQUIRE(bins > 0, "Histogram: need at least one bin");
-  BSLD_REQUIRE(hi > lo, "Histogram: hi must exceed lo");
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto bin = static_cast<std::ptrdiff_t>(std::floor((x - lo_) / width));
-  bin = std::clamp<std::ptrdiff_t>(
-      bin, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-std::size_t Histogram::bin_count(std::size_t bin) const {
-  BSLD_REQUIRE(bin < counts_.size(), "Histogram: bin out of range");
-  return counts_[bin];
-}
-
-double Histogram::fraction(std::size_t bin) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(bin_count(bin)) / static_cast<double>(total_);
-}
-
-std::string Histogram::to_string() const {
-  std::ostringstream os;
-  os << '[';
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (i != 0) os << ' ';
-    os << counts_[i];
-  }
-  os << ']';
-  return os.str();
 }
 
 }  // namespace bsld::util

@@ -1,10 +1,8 @@
 /// \file stats.hpp
-/// \brief Streaming and batch statistics used by metrics and tests.
+/// \brief Streaming mean/variance/min/max of a sample.
 #pragma once
 
 #include <cstddef>
-#include <string>
-#include <vector>
 
 namespace bsld::util {
 
@@ -12,8 +10,6 @@ namespace bsld::util {
 class RunningStats {
  public:
   void add(double x);
-  /// Merges another accumulator into this one (parallel reduction support).
-  void merge(const RunningStats& other);
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] bool empty() const { return n_ == 0; }
@@ -35,43 +31,6 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-};
-
-/// Linear-interpolated percentile of an unsorted sample; q in [0, 100].
-/// Throws bsld::Error on an empty sample or out-of-range q.
-double percentile(std::vector<double> values, double q);
-
-/// Mean of a sample; throws bsld::Error when empty.
-double mean_of(const std::vector<double>& values);
-
-/// Time-weighted average of a right-continuous step function given as
-/// breakpoints (time, value). The function holds `value[i]` on
-/// [time[i], time[i+1]); the last value extends to `horizon_end`.
-/// Throws bsld::Error when the series is empty, unsorted, or when
-/// horizon_end precedes the first breakpoint.
-double time_weighted_average(const std::vector<std::pair<double, double>>& steps,
-                             double horizon_end);
-
-/// Fixed-width histogram over [lo, hi); values outside are clamped into the
-/// first/last bin. Used by workload characterization and tests.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bin_count(std::size_t bin) const;
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const { return total_; }
-  /// Fraction of observations in `bin`; 0 when the histogram is empty.
-  [[nodiscard]] double fraction(std::size_t bin) const;
-  /// Compact single-line rendering, e.g. "[12 40 7 1]".
-  [[nodiscard]] std::string to_string() const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace bsld::util

@@ -108,7 +108,7 @@ sim::SimulationResult run(const wl::Workload& load, const Models& models,
   const auto policy = easy(
       raise, std::make_unique<ClosureProbe>(config, forward_closed, closed));
   wl::VectorJobStream stream = testing::stream_of(load);
-  return sim::run_simulation(stream, *policy, models.power, models.time);
+  return sim::Simulation(stream, *policy, models.power, models.time).run();
 }
 
 constexpr double kThresholds[] = {1.0, 1.5, 2.0, 3.0};

@@ -25,7 +25,7 @@ class DynamicRaiseTest : public ::testing::Test {
     dvfs.wq_threshold = std::nullopt;
     const auto policy = make_dynamic_raise_policy(dvfs, raise, "FirstFit");
     wl::VectorJobStream stream = testing::stream_of(load);
-    return sim::run_simulation(stream, *policy, models_.power, models_.time);
+    return sim::Simulation(stream, *policy, models_.power, models_.time).run();
   }
 
   Models models_;

@@ -7,6 +7,12 @@
 namespace bsld::core {
 namespace {
 
+/// Eq. 1 is Eq. 6 of a job that ran at the top gear.
+double bounded_slowdown(Time wait, Time run_time,
+                        Time floor = kDefaultBsldFloor) {
+  return penalized_bsld(wait, run_time, run_time, floor);
+}
+
 TEST(MetricsTest, Equation1BoundedSlowdown) {
   // Long job: denominator is its runtime.
   EXPECT_DOUBLE_EQ(bounded_slowdown(1000, 1000), 2.0);
@@ -37,9 +43,8 @@ TEST(MetricsTest, Equation6PenalizedBsld) {
   // Numerator uses the dilated runtime, denominator the top-gear runtime.
   EXPECT_DOUBLE_EQ(penalized_bsld(0, 1938, 1000), 1.938);
   EXPECT_DOUBLE_EQ(penalized_bsld(1000, 2000, 1000), 3.0);
-  // Not penalized at Ftop: reduces to Eq. 1.
-  EXPECT_DOUBLE_EQ(penalized_bsld(500, 1000, 1000),
-                   bounded_slowdown(500, 1000));
+  // Not penalized at Ftop: reduces to Eq. 1, (500 + 1000) / 1000.
+  EXPECT_DOUBLE_EQ(penalized_bsld(500, 1000, 1000), 1.5);
 }
 
 TEST(MetricsTest, CustomFloor) {

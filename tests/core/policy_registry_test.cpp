@@ -34,8 +34,8 @@ TEST(PolicyRegistryTest, BuiltinsAreRegistered) {
                 policies.end())
         << name;
   }
-  EXPECT_TRUE(PolicyRegistry::global().has_assigner("ftop"));
-  EXPECT_TRUE(PolicyRegistry::global().has_assigner("bsld"));
+  EXPECT_NO_THROW(PolicyRegistry::global().require_assigner("ftop"));
+  EXPECT_NO_THROW(PolicyRegistry::global().require_assigner("bsld"));
 }
 
 TEST(PolicyRegistryTest, MakesEveryBuiltin) {
@@ -106,8 +106,8 @@ TEST(PolicyRegistryTest, AddRejectsEmptyNameAndNullFactory) {
   EXPECT_THROW(
       registry.add_assigner("empty-fn", PolicyRegistry::AssignerFactory{}),
       Error);
-  EXPECT_FALSE(registry.has_policy("empty-fn"));
-  EXPECT_FALSE(registry.has_assigner("empty-fn"));
+  EXPECT_THROW(registry.require_policy("empty-fn"), Error);
+  EXPECT_THROW(registry.require_assigner("empty-fn"), Error);
 }
 
 TEST(PolicyRegistryTest, NullProductIsAnError) {

@@ -170,11 +170,13 @@ TEST(ObserverParityTest, ReturnedInstrumentsOutliveTheRunPlatform) {
 TEST(ObserverParityTest, JsonlSinkEmitsOneObjectPerRun) {
   RunSpec spec = dvfs_spec(wl::Archive::kCTC, 300);
   spec.instruments = {"wait-trace"};
+  SweepRunner runner;
+  const std::vector<RunResult> results = runner.run({spec, spec});
   std::ostringstream out;
   JsonlResultSink sink(out);
-  SweepRunner runner;
-  runner.add_sink(sink);
-  (void)runner.run({spec, spec});
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    sink.on_result(i, results[i]);
+  }
 
   const std::string text = out.str();
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);

@@ -3,6 +3,8 @@
 /// end-to-end on purpose-built miniature workloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "testing/helpers.hpp"
 
 namespace bsld {
@@ -120,9 +122,13 @@ TEST_F(ScenarioTest, BaselineMatchesEq1) {
   }
   const auto result = testing::run(workload(8, jobs), models_);
   for (const sim::JobOutcome& outcome : result.jobs) {
-    EXPECT_DOUBLE_EQ(outcome.bsld,
-                     core::bounded_slowdown(outcome.wait(),
-                                            outcome.run_time_top));
+    // Eq. 1: max((wait + run) / max(Th, run), 1) with Th = 600 s.
+    const double run = static_cast<double>(outcome.run_time_top);
+    const double eq1 =
+        std::max((static_cast<double>(outcome.wait()) + run) /
+                     std::max(600.0, run),
+                 1.0);
+    EXPECT_DOUBLE_EQ(outcome.bsld, eq1);
   }
 }
 

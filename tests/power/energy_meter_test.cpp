@@ -42,11 +42,12 @@ TEST_F(EnergyMeterTest, PerGearTallies) {
   meter.add_execution(2, 0, 50);
   meter.add_execution(3, 0, 10);
   meter.add_execution(1, 5, 100);
-  EXPECT_DOUBLE_EQ(meter.core_seconds_at(0), 130.0);
-  EXPECT_DOUBLE_EQ(meter.core_seconds_at(5), 100.0);
-  EXPECT_EQ(meter.executions_at(0), 2);
-  EXPECT_EQ(meter.executions_at(5), 1);
-  EXPECT_EQ(meter.executions_at(3), 0);
+  // 130 core-seconds at gear 0, 100 at gear 5, each priced at its gear.
+  const EnergyReport report = meter.report(5, 100);
+  EXPECT_DOUBLE_EQ(report.busy_core_seconds, 230.0);
+  EXPECT_NEAR(report.computational_joules,
+              130.0 * model_.active_power(0) + 100.0 * model_.active_power(5),
+              1e-9);
 }
 
 TEST_F(EnergyMeterTest, ComputationalNeverExceedsTotal) {
@@ -75,7 +76,6 @@ TEST_F(EnergyMeterTest, ZeroRuntimeExecutionIsFree) {
   EnergyMeter meter(model_);
   meter.add_execution(4, 1, 0);
   EXPECT_DOUBLE_EQ(meter.report(4, 10).computational_joules, 0.0);
-  EXPECT_EQ(meter.executions_at(1), 1);
 }
 
 TEST_F(EnergyMeterTest, InvalidInputsRejected) {
@@ -86,7 +86,6 @@ TEST_F(EnergyMeterTest, InvalidInputsRejected) {
   EXPECT_THROW(meter.add_execution(1, 1, -5), Error);
   EXPECT_THROW((void)meter.report(0, 10), Error);
   EXPECT_THROW((void)meter.report(4, -1), Error);
-  EXPECT_THROW((void)meter.core_seconds_at(99), Error);
 }
 
 TEST_F(EnergyMeterTest, EnergyScaleInvariance) {

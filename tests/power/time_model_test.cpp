@@ -16,7 +16,7 @@ TEST(TimeModelTest, BetaZeroMakesFrequencyIrrelevant) {
   const BetaTimeModel model(cluster::paper_gear_set(), 0.0);
   for (GearIndex g = 0; g <= model.gears().top_index(); ++g) {
     EXPECT_DOUBLE_EQ(model.coefficient(g), 1.0);
-    EXPECT_EQ(model.scale_duration(12345, g), 12345);
+    EXPECT_EQ(model.scale_duration_with_beta(12345, g, -1.0), 12345);
   }
 }
 
@@ -25,7 +25,7 @@ TEST(TimeModelTest, BetaOneHalvingFrequencyDoublesRuntime) {
   const cluster::GearSet gears({{1.0, 1.0}, {2.0, 1.2}});
   const BetaTimeModel model(gears, 1.0);
   EXPECT_DOUBLE_EQ(model.coefficient(0), 2.0);
-  EXPECT_EQ(model.scale_duration(100, 0), 200);
+  EXPECT_EQ(model.scale_duration_with_beta(100, 0, -1.0), 200);
 }
 
 TEST(TimeModelTest, PaperCoefficientsBetaHalf) {
@@ -45,9 +45,9 @@ TEST(TimeModelTest, CoefficientsDecreaseWithGear) {
 TEST(TimeModelTest, ScaleDurationRoundsToWholeSeconds) {
   const BetaTimeModel model(cluster::paper_gear_set(), 0.5);
   // 100 * 1.9375 = 193.75 -> 194.
-  EXPECT_EQ(model.scale_duration(100, 0), 194);
+  EXPECT_EQ(model.scale_duration_with_beta(100, 0, -1.0), 194);
   // Top gear is the identity.
-  EXPECT_EQ(model.scale_duration(100, 5), 100);
+  EXPECT_EQ(model.scale_duration_with_beta(100, 5, -1.0), 100);
 }
 
 TEST(TimeModelTest, ScaleDurationMonotoneInDuration) {
@@ -55,7 +55,7 @@ TEST(TimeModelTest, ScaleDurationMonotoneInDuration) {
   for (GearIndex g = 0; g <= model.gears().top_index(); ++g) {
     Time previous = 0;
     for (const Time d : {0, 1, 2, 10, 599, 600, 601, 86400}) {
-      const Time scaled = model.scale_duration(d, g);
+      const Time scaled = model.scale_duration_with_beta(d, g, -1.0);
       EXPECT_GE(scaled, previous);
       previous = scaled;
     }
@@ -64,8 +64,8 @@ TEST(TimeModelTest, ScaleDurationMonotoneInDuration) {
 
 TEST(TimeModelTest, PositiveDurationsStayPositive) {
   const BetaTimeModel model(cluster::paper_gear_set(), 0.5);
-  EXPECT_EQ(model.scale_duration(0, 0), 0);
-  EXPECT_GE(model.scale_duration(1, 0), 1);
+  EXPECT_EQ(model.scale_duration_with_beta(0, 0, -1.0), 0);
+  EXPECT_GE(model.scale_duration_with_beta(1, 0, -1.0), 1);
 }
 
 TEST(TimeModelTest, ScaledAtLeastOriginal) {
@@ -73,7 +73,7 @@ TEST(TimeModelTest, ScaledAtLeastOriginal) {
   const BetaTimeModel model(cluster::paper_gear_set(), 0.7);
   for (GearIndex g = 0; g <= model.gears().top_index(); ++g) {
     for (const Time d : {1, 17, 600, 100000}) {
-      EXPECT_GE(model.scale_duration(d, g), d);
+      EXPECT_GE(model.scale_duration_with_beta(d, g, -1.0), d);
     }
   }
 }
@@ -83,7 +83,7 @@ TEST(TimeModelTest, InvalidInputsRejected) {
   EXPECT_THROW(BetaTimeModel(cluster::paper_gear_set(), 1.1), Error);
   const BetaTimeModel model(cluster::paper_gear_set(), 0.5);
   EXPECT_THROW((void)model.coefficient(99), Error);
-  EXPECT_THROW((void)model.scale_duration(-1, 0), Error);
+  EXPECT_THROW((void)model.scale_duration_with_beta(-1, 0, -1.0), Error);
 }
 
 // Property sweep: Coef(f) = beta*(fmax/f - 1) + 1 across betas and gears.

@@ -107,9 +107,9 @@ TEST(ConcurrencyTest, ConcurrentSubmittersShareOnePool) {
       // Identical grids across submitters: every slot beyond the first
       // batch coalesces onto an in-flight or completed simulation.
       const std::vector<RunSpec> specs = small_grid();
-      auto handle = runner.submit(
-          specs, [&](std::size_t, const RunResult&) { delivered += 1; });
+      auto handle = runner.submit(specs);
       const auto results = handle.wait();
+      delivered += handle.progress().completed;
       EXPECT_EQ(results.size(), specs.size());
       for (const RunResult& result : results) {
         EXPECT_GT(result.sim().avg_bsld, 0.0);
@@ -162,7 +162,7 @@ TEST(ConcurrencyTest, RegistryLookupsAreRaceFree) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kQueries; ++i) {
-        EXPECT_TRUE(core::PolicyRegistry::global().has_policy("easy"));
+        EXPECT_NO_THROW(core::PolicyRegistry::global().require_policy("easy"));
         EXPECT_FALSE(core::PolicyRegistry::global().policy_names().empty());
         EXPECT_FALSE(sim::InstrumentRegistry::global().names().empty());
       }

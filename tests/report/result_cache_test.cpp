@@ -307,10 +307,11 @@ TEST_F(ResultCacheTest, EvictStaleEpochs) {
   util::atomic_write_file(stale, "old format\n");
   EXPECT_EQ(cache.disk_stats().stale_entries, 1u);
 
-  EXPECT_EQ(cache.evict_stale_epochs(), 1u);
+  // clear() reclaims every epoch: the current entry and the stale one.
+  EXPECT_EQ(cache.clear(), 2u);
   EXPECT_FALSE(fs::exists(stale));
-  EXPECT_EQ(cache.disk_stats().entries, 1u);  // current epoch untouched.
-  EXPECT_TRUE(cache.lookup(small_spec()).has_value());
+  EXPECT_EQ(cache.disk_stats().entries, 0u);
+  EXPECT_EQ(cache.disk_stats().stale_entries, 0u);
 }
 
 TEST_F(ResultCacheTest, TrimEvictsOldestFirst) {
@@ -456,19 +457,19 @@ struct SweepCapture {
 
 SweepCapture run_grid_with_cache(const std::vector<RunSpec>& specs,
                                  ResultCache& cache) {
-  std::ostringstream csv_out;
-  std::ostringstream jsonl_out;
-  CsvResultSink csv(csv_out);
-  JsonlResultSink jsonl(jsonl_out);
-  ReorderingSink ordered_csv(csv);
-  ReorderingSink ordered_jsonl(jsonl);
   SweepRunner::Options options;
   options.threads = 4;
   options.cache = &cache;
   SweepRunner runner(options);
-  runner.add_sink(ordered_csv);
-  runner.add_sink(ordered_jsonl);
-  (void)runner.run(specs);
+  const std::vector<RunResult> results = runner.run(specs);
+  std::ostringstream csv_out;
+  std::ostringstream jsonl_out;
+  CsvResultSink csv(csv_out);
+  JsonlResultSink jsonl(jsonl_out);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    csv.on_result(i, results[i]);
+    jsonl.on_result(i, results[i]);
+  }
   return {csv_out.str(), jsonl_out.str(), runner.progress()};
 }
 

@@ -6,14 +6,13 @@
 #include <algorithm>
 #include <filesystem>
 #include <map>
-#include <mutex>
 #include <sstream>
 #include <thread>
 
 #include "report/figures.hpp"
 #include "report/result_cache.hpp"
 #include "report/sinks.hpp"
-#include "util/csv.hpp"
+#include "testing/csv.hpp"
 #include "util/error.hpp"
 #include "util/parse.hpp"
 
@@ -119,36 +118,30 @@ TEST(SweepRunnerTest, DedupExecutesIdenticalSpecsOnce) {
     specs.insert(specs.end(), distinct.begin(), distinct.end());
   }
 
-  SweepRunner::Options dedup_on;
-  dedup_on.threads = 2;
-  SweepRunner runner(dedup_on);
+  SweepRunner runner(SweepRunner::Options{.threads = 2});
   const auto deduped = runner.run(specs);
   EXPECT_EQ(runner.progress().total, 9u);
   EXPECT_EQ(runner.progress().completed, 9u);
   EXPECT_EQ(runner.progress().executed, 3u);
   EXPECT_EQ(runner.progress().deduplicated, 6u);
 
-  SweepRunner::Options dedup_off;
-  dedup_off.threads = 2;
-  dedup_off.dedup = false;
-  SweepRunner full(dedup_off);
-  const auto all = full.run(specs);
-  EXPECT_EQ(full.progress().executed, 9u);
-  EXPECT_EQ(full.progress().deduplicated, 0u);
-
-  ASSERT_EQ(deduped.size(), all.size());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    EXPECT_EQ(deduped[i].spec, all[i].spec);
-    EXPECT_DOUBLE_EQ(deduped[i].sim().avg_bsld, all[i].sim().avg_bsld);
+  // Every duplicate slot carries its own spec and the result of an
+  // independent run of it.
+  const auto all = run_all(distinct, 2);
+  ASSERT_EQ(deduped.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(deduped[i].spec, specs[i]);
+    const RunResult& independent = all[i % distinct.size()];
+    EXPECT_DOUBLE_EQ(deduped[i].sim().avg_bsld, independent.sim().avg_bsld);
     EXPECT_DOUBLE_EQ(deduped[i].sim().energy.total_joules,
-                     all[i].sim().energy.total_joules);
-    EXPECT_EQ(deduped[i].sim().makespan, all[i].sim().makespan);
+                     independent.sim().energy.total_joules);
+    EXPECT_EQ(deduped[i].sim().makespan, independent.sim().makespan);
   }
 }
 
 TEST(SweepRunnerTest, ProgressCallbackObservesEveryCompletion) {
   const std::vector<RunSpec> specs = small_grid();
-  SweepRunner runner(SweepRunner::Options{.threads = 3, .dedup = true});
+  SweepRunner runner(SweepRunner::Options{.threads = 3});
   std::size_t calls = 0;
   std::size_t last_completed = 0;
   runner.on_progress([&](const SweepRunner::Progress& progress,
@@ -165,70 +158,71 @@ TEST(SweepRunnerTest, ProgressCallbackObservesEveryCompletion) {
 }
 
 TEST(SweepRunnerTest, SinksSeeEverySlotExactlyOnce) {
-  // Duplicate the first spec so dedup fans one run out to two slots.
+  // Duplicate the first spec so dedup fans one run out to two slots; the
+  // rendered rows still cover every slot once, in grid order.
   std::vector<RunSpec> specs = small_grid();
   specs.resize(3);
   specs.push_back(specs[0]);
-
-  class CountingSink final : public ResultSink {
-   public:
-    std::vector<int> seen;
-    std::size_t done_total = 0;
-    void on_result(std::size_t index, const RunResult& result) override {
-      ASSERT_LT(index, seen.size());
-      ++seen[index];
-      EXPECT_GT(result.sim().avg_bsld, 0.0);
-    }
-    void on_done(std::size_t total) override { done_total = total; }
-  };
-  CountingSink sink;
-  sink.seen.assign(specs.size(), 0);
-
-  SweepRunner runner(SweepRunner::Options{.threads = 2, .dedup = true});
-  runner.add_sink(sink);
-  (void)runner.run(specs);
-  for (const int count : sink.seen) EXPECT_EQ(count, 1);
-  EXPECT_EQ(sink.done_total, specs.size());
+  SweepRunner runner(SweepRunner::Options{.threads = 2});
+  const std::vector<RunResult> results = runner.run(specs);
+  EXPECT_EQ(runner.progress().executed, 3u);
+  std::ostringstream out;
+  CsvResultSink sink(out);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    sink.on_result(i, results[i]);
+  }
+  const auto rows = bsld::testing::parse_csv(out.str());
+  ASSERT_EQ(rows.size(), specs.size() + 1);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(rows[i + 1][0], std::to_string(i));
+    EXPECT_EQ(rows[i + 1][1], specs[i].label());
+  }
+  // The fanned-out slot renders the same metrics as its twin.
+  EXPECT_EQ(std::vector<std::string>(rows[4].begin() + 1, rows[4].end()),
+            std::vector<std::string>(rows[1].begin() + 1, rows[1].end()));
 }
 
 TEST(SweepRunnerTest, CsvSinkStreamsHeaderAndRows) {
   std::vector<RunSpec> specs = small_grid();
   specs.resize(2);
+  SweepRunner runner(SweepRunner::Options{.threads = 2});
+  const std::vector<RunResult> results = runner.run(specs);
   std::ostringstream out;
   CsvResultSink sink(out);
-  SweepRunner runner(SweepRunner::Options{.threads = 2, .dedup = true});
-  runner.add_sink(sink);
-  (void)runner.run(specs);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    sink.on_result(i, results[i]);
+  }
 
-  const auto rows = util::parse_csv(out.str());
+  const auto rows = bsld::testing::parse_csv(out.str());
   ASSERT_EQ(rows.size(), 3u);  // header + one row per spec
   EXPECT_EQ(rows[0], result_row_headers());
-  // Completion order is nondeterministic; the index column recovers it.
-  std::vector<std::string> indices = {rows[1][0], rows[2][0]};
-  std::sort(indices.begin(), indices.end());
-  EXPECT_EQ(indices, (std::vector<std::string>{"0", "1"}));
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(rows[i + 1], result_row(i, results[i]));
+  }
 }
 
 TEST(SweepRunnerTest, TableSinkCollectsInGridOrder) {
   std::vector<RunSpec> specs = small_grid();
   specs.resize(3);
-  TableResultSink sink;
-  SweepRunner runner(SweepRunner::Options{.threads = 3, .dedup = true});
-  runner.add_sink(sink);
+  SweepRunner runner(SweepRunner::Options{.threads = 3});
   const auto results = runner.run(specs);
-  const util::Table table = sink.table();
-  EXPECT_EQ(table.rows(), specs.size());
+  // result_table() renders the given slots in the order given.
+  const util::Table table = result_table(results, {0, 2});
+  EXPECT_EQ(table.rows(), 2u);
   const std::string rendered = table.to_string();
-  for (const auto& result : results) {
-    EXPECT_NE(rendered.find(result.spec.label()), std::string::npos);
-  }
+  const std::size_t first = rendered.find(results[0].spec.label());
+  const std::size_t last = rendered.find(results[2].spec.label());
+  ASSERT_NE(first, std::string::npos);
+  ASSERT_NE(last, std::string::npos);
+  EXPECT_LT(first, last);
+  EXPECT_EQ(rendered.find(results[1].spec.label()), std::string::npos);
 }
 
 TEST(SweepRunnerTest, RunAllIsAThinWrapper) {
   std::vector<RunSpec> specs = small_grid();
   specs.resize(2);
   const auto wrapped = run_all(specs, 2);
-  SweepRunner runner(SweepRunner::Options{.threads = 2, .dedup = true});
+  SweepRunner runner(SweepRunner::Options{.threads = 2});
   const auto direct = runner.run(specs);
   ASSERT_EQ(wrapped.size(), direct.size());
   for (std::size_t i = 0; i < wrapped.size(); ++i) {
@@ -250,41 +244,29 @@ TEST(ShardTest, PartitionIsDeterministicAndComplete) {
 TEST(ShardTest, TwoShardsPartitionSlotsExactlyOnce) {
   const std::vector<RunSpec> specs = small_grid();
 
-  class IndexSink final : public ResultSink {
-   public:
-    std::vector<std::size_t> indices;
-    void on_result(std::size_t index, const RunResult& result) override {
-      indices.push_back(index);
-      EXPECT_GT(result.sim().avg_bsld, 0.0);
-    }
-  };
-
   std::vector<std::size_t> seen;
   std::size_t total_skipped = 0;
   for (unsigned shard = 0; shard < 2; ++shard) {
-    IndexSink sink;
     SweepRunner::Options options;
     options.threads = 2;
     options.shard_index = shard;
     options.shard_count = 2;
     SweepRunner runner(options);
-    runner.add_sink(sink);
     const auto results = runner.run(specs);
     ASSERT_EQ(results.size(), specs.size());
     // Owned slots carry real results; foreign slots only their spec.
-    for (const std::size_t index : sink.indices) {
-      EXPECT_EQ(shard_of(specs[index], 2), shard);
-    }
     for (std::size_t i = 0; i < specs.size(); ++i) {
       EXPECT_EQ(results[i].spec, specs[i]);
-      if (shard_of(specs[i], 2) != shard) {
+      if (shard_of(specs[i], 2) == shard) {
+        EXPECT_GT(results[i].sim().avg_bsld, 0.0);
+        seen.push_back(i);
+      } else {
         EXPECT_EQ(results[i].sim().job_count, 0);  // untouched default.
       }
     }
     EXPECT_EQ(runner.progress().completed + runner.progress().shard_skipped,
               specs.size());
     total_skipped += runner.progress().shard_skipped;
-    seen.insert(seen.end(), sink.indices.begin(), sink.indices.end());
   }
   // Union over both shards: every grid slot exactly once.
   std::sort(seen.begin(), seen.end());
@@ -301,17 +283,18 @@ TEST(ShardTest, ShardedUnionMatchesSerialRows) {
   const std::vector<RunSpec> specs = small_grid();
 
   const auto ordered_csv = [&](unsigned shard, unsigned count) {
-    std::ostringstream out;
-    CsvResultSink csv(out);
-    ReorderingSink ordered(csv);
     SweepRunner::Options options;
     options.threads = 2;
     options.shard_index = shard;
     options.shard_count = count;
     SweepRunner runner(options);
-    runner.add_sink(ordered);
-    (void)runner.run(specs);
-    return util::parse_csv(out.str());
+    const std::vector<RunResult> results = runner.run(specs);
+    std::ostringstream out;
+    CsvResultSink csv(out);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      if (shard_of(specs[i], count) == shard) csv.on_result(i, results[i]);
+    }
+    return bsld::testing::parse_csv(out.str());
   };
 
   const auto serial = ordered_csv(0, 1);
@@ -339,22 +322,23 @@ TEST(ShardTest, ShardedUnionMatchesSerialRows) {
 TEST(ShardTest, ShardOwningZeroSpecsYieldsEmptyResultsAndHeaderOnlyCsv) {
   // A shard whose partition holds zero specs (more shards than distinct
   // specs) is the degenerate case --merge-shards must also survive: the
-  // run returns spec-only empty results, streams no rows (header-only
-  // CSV), and still fires on_done.
+  // run returns spec-only empty results, and the shard's CSV (its owned
+  // slots only) is the header alone.
   std::vector<RunSpec> specs(3, small_grid()[0]);  // 1 distinct spec.
   const unsigned owner = shard_of(specs[0], 2);
   const unsigned empty_shard = 1 - owner;
 
-  std::ostringstream out;
-  CsvResultSink csv(out);
-  ReorderingSink ordered(csv);
   SweepRunner::Options options;
   options.threads = 2;
   options.shard_index = empty_shard;
   options.shard_count = 2;
   SweepRunner runner(options);
-  runner.add_sink(ordered);
   const std::vector<RunResult> results = runner.run(specs);
+  std::ostringstream out;
+  CsvResultSink csv(out);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (shard_of(specs[i], 2) == empty_shard) csv.on_result(i, results[i]);
+  }
 
   ASSERT_EQ(results.size(), specs.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -363,8 +347,8 @@ TEST(ShardTest, ShardOwningZeroSpecsYieldsEmptyResultsAndHeaderOnlyCsv) {
   }
   EXPECT_EQ(runner.progress().executed, 0u);
   EXPECT_EQ(runner.progress().shard_skipped, specs.size());
-  const auto rows = util::parse_csv(out.str());
-  ASSERT_EQ(rows.size(), 1u);  // the header only — on_done still ran.
+  const auto rows = bsld::testing::parse_csv(out.str());
+  ASSERT_EQ(rows.size(), 1u);  // the header only.
   EXPECT_EQ(rows[0][0], "index");
 }
 
@@ -379,21 +363,6 @@ TEST(ShardTest, InvalidShardOptionsThrow) {
   EXPECT_THROW((void)SweepRunner(zero_count).run(small_grid()), Error);
 }
 
-TEST(SweepRunnerTest, ReorderingSinkReplaysInGridOrder) {
-  std::vector<RunSpec> specs = small_grid();
-  std::ostringstream out;
-  CsvResultSink csv(out);
-  ReorderingSink ordered(csv);
-  SweepRunner runner(SweepRunner::Options{.threads = 3, .dedup = true});
-  runner.add_sink(ordered);
-  (void)runner.run(specs);
-  const auto rows = util::parse_csv(out.str());
-  ASSERT_EQ(rows.size(), specs.size() + 1);
-  for (std::size_t r = 1; r < rows.size(); ++r) {
-    EXPECT_EQ(rows[r][0], std::to_string(r - 1));  // ascending indices.
-  }
-}
-
 // --- submit(): the persistent-pool path behind bsldsim serve ------------
 
 TEST(SubmitTest, SubmitMatchesRun) {
@@ -401,13 +370,7 @@ TEST(SubmitTest, SubmitMatchesRun) {
   const std::vector<RunResult> via_run = run_all(specs, 2);
 
   SweepRunner runner(SweepRunner::Options{.threads = 2});
-  std::mutex mutex;
-  std::map<std::size_t, double> streamed;
-  SweepRunner::SubmitHandle handle = runner.submit(
-      specs, [&](std::size_t index, const RunResult& result) {
-        const std::lock_guard<std::mutex> lock(mutex);
-        streamed[index] = result.sim().avg_bsld;
-      });
+  SweepRunner::SubmitHandle handle = runner.submit(specs);
   const std::vector<RunResult> via_submit = handle.wait();
 
   ASSERT_EQ(via_submit.size(), via_run.size());
@@ -416,11 +379,6 @@ TEST(SubmitTest, SubmitMatchesRun) {
     EXPECT_DOUBLE_EQ(via_submit[i].sim().avg_bsld, via_run[i].sim().avg_bsld);
     EXPECT_EQ(via_submit[i].sim().events_processed,
               via_run[i].sim().events_processed);
-  }
-  // Every slot was delivered exactly once through the callback.
-  ASSERT_EQ(streamed.size(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(streamed[i], via_run[i].sim().avg_bsld);
   }
   const SweepRunner::Progress progress = handle.progress();
   EXPECT_EQ(progress.total, specs.size());
@@ -510,15 +468,9 @@ TEST(SubmitTest, ShardedSubmitSkipsForeignSlotsSilently) {
   options.shard_count = 2;
   SweepRunner runner(options);
 
-  std::mutex mutex;
-  std::size_t delivered = 0;
-  SweepRunner::SubmitHandle handle =
-      runner.submit(specs, [&](std::size_t, const RunResult&) {
-        const std::lock_guard<std::mutex> lock(mutex);
-        delivered += 1;
-      });
+  SweepRunner::SubmitHandle handle = runner.submit(specs);
   const std::vector<RunResult> results = handle.wait();
-  EXPECT_EQ(delivered, 0u);  // foreign slots never reach the callback.
+  EXPECT_EQ(handle.progress().completed, 0u);
   EXPECT_EQ(handle.progress().shard_skipped, specs.size());
   EXPECT_EQ(handle.progress().executed, 0u);
   for (const RunResult& result : results) {
@@ -527,14 +479,14 @@ TEST(SubmitTest, ShardedSubmitSkipsForeignSlotsSilently) {
 }
 
 TEST(SubmitTest, ThrowingCallbackSurfacesAtWaitNotTerminate) {
-  // A sink/callback failure on a pool worker must not std::terminate the
-  // process (the daemon's no-crash guarantee); it resurfaces at wait().
+  // A progress-callback failure on a pool worker must not std::terminate
+  // the process; it resurfaces when run() waits for the batch.
   SweepRunner runner(SweepRunner::Options{.threads = 2});
-  SweepRunner::SubmitHandle handle =
-      runner.submit(small_grid(), [](std::size_t index, const RunResult&) {
-        if (index == 1) throw Error("sink exploded");
-      });
-  EXPECT_THROW((void)handle.wait(), Error);
+  std::size_t calls = 0;
+  runner.on_progress([&calls](const SweepRunner::Progress&, const RunSpec&) {
+    if (++calls == 2) throw Error("callback exploded");
+  });
+  EXPECT_THROW((void)runner.run(small_grid()), Error);
   // The pool survives and serves the next batch.
   EXPECT_EQ(runner.submit({small_grid()[0]}).wait().size(), 1u);
 }

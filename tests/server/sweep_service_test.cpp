@@ -74,12 +74,13 @@ TEST_F(SweepServiceTest, PayloadMatchesDirectSinkOutput) {
 
   const std::vector<report::RunSpec> specs =
       report::expand_grid(util::Config::parse(kGridText));
+  report::SweepRunner runner(report::SweepRunner::Options{.threads = 2});
+  const std::vector<report::RunResult> results = runner.run(specs);
   std::ostringstream direct;
   report::CsvResultSink csv(direct);
-  report::ReorderingSink ordered(csv);
-  report::SweepRunner runner(report::SweepRunner::Options{.threads = 2});
-  runner.add_sink(ordered);
-  (void)runner.run(specs);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    csv.on_result(i, results[i]);
+  }
 
   EXPECT_EQ(reply.payload, direct.str());
 }

@@ -89,7 +89,8 @@ TEST(PmDriver, CapThrottleDilatesTheRun) {
           config);
   ASSERT_EQ(capped.jobs.size(), 1U);
   EXPECT_EQ(capped.jobs[0].gear, 2);
-  EXPECT_EQ(capped.makespan, models.time.scale_duration(1000, 2));
+  EXPECT_EQ(capped.makespan,
+            models.time.scale_duration_with_beta(1000, 2, -1.0));
 
   const SimulationResult free_run = run(load, models);
   EXPECT_GT(capped.makespan, free_run.makespan);
@@ -116,7 +117,7 @@ TEST(PmDriver, GatedAdmissionRunsAfterTheBudgetFrees) {
   const SimulationResult capped =
       run(load, models, core::BasePolicy::kEasy, std::nullopt, "FirstFit",
           config);
-  const Time dilated = models.time.scale_duration(100, 1);
+  const Time dilated = models.time.scale_duration_with_beta(100, 1, -1.0);
   ASSERT_EQ(capped.jobs.size(), 2U);
   EXPECT_EQ(capped.jobs[0].end, dilated);
   // The gated job holds its allocation from t=0; its gated wait shows up

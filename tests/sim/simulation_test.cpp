@@ -269,7 +269,7 @@ TEST_F(SimulationTest, StreamingRejectsUnsortedStreams) {
       core::make_policy(core::BasePolicy::kEasy, std::nullopt, "FirstFit");
   wl::VectorJobStream stream(unsorted);
   EXPECT_THROW(
-      (void)run_simulation(stream, *policy, models_.power, models_.time),
+      (void)Simulation(stream, *policy, models_.power, models_.time).run(),
       Error);
 }
 

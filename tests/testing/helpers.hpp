@@ -65,8 +65,8 @@ inline sim::SimulationResult run(
     sim::SimulationConfig config = {}) {
   const auto policy = core::make_policy(base, dvfs, selector);
   wl::VectorJobStream stream = stream_of(load);
-  return sim::run_simulation(stream, *policy, models.power, models.time,
-                             config);
+  return sim::Simulation(stream, *policy, models.power, models.time, config)
+      .run();
 }
 
 /// Minimal SchedulerContext: a machine snapshot, a job table, and a fixed

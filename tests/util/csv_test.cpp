@@ -4,10 +4,13 @@
 
 #include <sstream>
 
+#include "testing/csv.hpp"
 #include "util/error.hpp"
 
 namespace bsld::util {
 namespace {
+
+using bsld::testing::parse_csv;
 
 TEST(CsvTest, EscapePlainCellUntouched) {
   EXPECT_EQ(csv_escape("hello"), "hello");

@@ -118,14 +118,6 @@ TEST(RngTest, LognormalMedian) {
   EXPECT_NEAR(xs[10000], std::exp(4.0), std::exp(4.0) * 0.05);
 }
 
-TEST(RngTest, WeibullShapeOneIsExponential) {
-  Rng rng(31);
-  double sum = 0.0;
-  constexpr int kN = 100000;
-  for (int i = 0; i < kN; ++i) sum += rng.weibull(1.0, 25.0);
-  EXPECT_NEAR(sum / kN, 25.0, 0.5);
-}
-
 TEST(RngTest, DiscreteRespectsWeights) {
   Rng rng(37);
   std::vector<double> weights = {1.0, 0.0, 3.0};

@@ -4,8 +4,6 @@
 
 #include <cmath>
 
-#include "util/error.hpp"
-
 namespace bsld::util {
 namespace {
 
@@ -28,93 +26,6 @@ TEST(RunningStatsTest, KnownMoments) {
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStatsTest, MergeEqualsBulk) {
-  RunningStats all;
-  RunningStats a;
-  RunningStats b;
-  for (int i = 0; i < 100; ++i) {
-    const double x = i * 0.37 - 5.0;
-    all.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStatsTest, MergeWithEmpty) {
-  RunningStats a;
-  a.add(1.0);
-  RunningStats b;
-  a.merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.0);
-}
-
-TEST(PercentileTest, MedianAndInterpolation) {
-  EXPECT_DOUBLE_EQ(percentile({1, 2, 3, 4, 5}, 50), 3.0);
-  EXPECT_DOUBLE_EQ(percentile({1, 2, 3, 4}, 50), 2.5);
-  EXPECT_DOUBLE_EQ(percentile({10, 20}, 25), 12.5);
-  EXPECT_DOUBLE_EQ(percentile({7}, 99), 7.0);
-  EXPECT_DOUBLE_EQ(percentile({5, 1, 3}, 0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile({5, 1, 3}, 100), 5.0);
-}
-
-TEST(PercentileTest, Rejections) {
-  EXPECT_THROW((void)percentile({}, 50), Error);
-  EXPECT_THROW((void)percentile({1.0}, -1), Error);
-  EXPECT_THROW((void)percentile({1.0}, 101), Error);
-}
-
-TEST(MeanOfTest, Basic) {
-  EXPECT_DOUBLE_EQ(mean_of({1, 2, 3}), 2.0);
-  EXPECT_THROW((void)mean_of({}), Error);
-}
-
-TEST(TimeWeightedAverageTest, StepFunction) {
-  // Value 2 on [0,10), 6 on [10,20): average over [0,20] = 4.
-  const std::vector<std::pair<double, double>> steps = {{0, 2}, {10, 6}};
-  EXPECT_DOUBLE_EQ(time_weighted_average(steps, 20), 4.0);
-}
-
-TEST(TimeWeightedAverageTest, HorizonCutsLastStep) {
-  const std::vector<std::pair<double, double>> steps = {{0, 2}, {10, 6}};
-  EXPECT_DOUBLE_EQ(time_weighted_average(steps, 10), 2.0);
-}
-
-TEST(TimeWeightedAverageTest, Rejections) {
-  EXPECT_THROW((void)time_weighted_average({}, 1), Error);
-  const std::vector<std::pair<double, double>> steps = {{10, 1}};
-  EXPECT_THROW((void)time_weighted_average(steps, 5), Error);
-}
-
-TEST(HistogramTest, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);    // bin 0
-  h.add(9.99);   // bin 4
-  h.add(-3.0);   // clamped to bin 0
-  h.add(50.0);   // clamped to bin 4
-  h.add(5.0);    // bin 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.4);
-  EXPECT_EQ(h.to_string(), "[2 0 1 0 2]");
-}
-
-TEST(HistogramTest, Rejections) {
-  EXPECT_THROW(Histogram(0, 1, 0), Error);
-  EXPECT_THROW(Histogram(1, 1, 3), Error);
-  Histogram h(0, 1, 2);
-  EXPECT_THROW((void)h.bin_count(2), Error);
 }
 
 }  // namespace
