@@ -4,7 +4,7 @@
 /// trace generation, end-to-end simulation rate per archive, sweep-grid
 /// throughput through report::SweepRunner (deduplicated grid), and the
 /// streaming pipeline (pull-path ingest rate, SWF file ingest and the
-/// million-job windowed run).
+/// million-job windowed run), and the spec/cache-entry codecs.
 #include <benchmark/benchmark.h>
 
 #include <deque>
@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include "cluster/first_fit.hpp"
+#include "report/figures.hpp"
 #include "report/result_cache.hpp"
 #include "report/sweep.hpp"
 #include "sim/engine.hpp"
@@ -261,6 +262,55 @@ void BM_CacheHitSweep(benchmark::State& state) {
   std::filesystem::remove_all(root);
 }
 BENCHMARK(BM_CacheHitSweep)->Unit(benchmark::kMillisecond);
+
+/// RunSpec key round trip: every paper-grid spec (145 slots) serialized
+/// with to_config().to_string() — its key text — and parsed back.
+void BM_SpecCodec(benchmark::State& state) {
+  const report::OriginalSizeGrid original = report::original_size_grid(5000);
+  std::vector<report::RunSpec> specs = original.dvfs_specs;
+  specs.insert(specs.end(), original.baseline_specs.begin(),
+               original.baseline_specs.end());
+  for (const std::optional<std::int64_t>& wq :
+       {std::optional<std::int64_t>(0), std::optional<std::int64_t>()}) {
+    const report::EnlargedGrid enlarged = report::enlarged_grid(wq, 5000);
+    specs.insert(specs.end(), enlarged.dvfs_specs.begin(),
+                 enlarged.dvfs_specs.end());
+    specs.insert(specs.end(), enlarged.baseline_specs.begin(),
+                 enlarged.baseline_specs.end());
+  }
+  for (auto _ : state) {
+    for (const report::RunSpec& spec : specs) {
+      const std::string text = spec.to_config().to_string();
+      benchmark::DoNotOptimize(
+          report::RunSpec::parse(util::Config::parse(text)));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(specs.size()));
+}
+BENCHMARK(BM_SpecCodec)->Unit(benchmark::kMicrosecond);
+
+/// Result cache entry codec: one retained 1,000-job result stored (entry
+/// serialized and published) and looked up (read and parsed) per
+/// iteration, in a temp directory.
+void BM_CacheEntryRoundTrip(benchmark::State& state) {
+  report::RunSpec spec;
+  spec.workload = wl::WorkloadSource::from_archive(wl::Archive::kCTC, 1000);
+  const report::RunResult result = report::run_one(spec);
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() /
+      ("bsld-bench-entry-" + std::to_string(static_cast<long>(::getpid())));
+  report::ResultCache cache(root);
+  for (auto _ : state) {
+    cache.store(result);
+    benchmark::DoNotOptimize(cache.lookup(spec));
+  }
+  state.SetItemsProcessed(state.iterations());
+  std::filesystem::remove_all(root);
+}
+BENCHMARK(BM_CacheEntryRoundTrip)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 /// An undersaturated generator profile: the wait queue stays shallow, so
 /// the streaming benchmarks measure pipeline throughput, not the

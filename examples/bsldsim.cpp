@@ -362,9 +362,9 @@ report::RunSpec spec_from_flags(const util::Cli& cli) {
   }
   if (overrides("platform") && !cli.get("platform").empty()) {
     const util::Config platform = util::Config::load_file(cli.get("platform"));
-    spec.gears = cluster::gear_set_from_config(platform);
-    spec.power = power::power_config_from(platform);
-    spec.beta = platform.get_double("time.beta", spec.beta);
+    spec.gears = util::read_config(platform, cluster::paper_gear_set());
+    spec.power = util::read_config<power::PowerModelConfig>(platform);
+    util::ConfigCodec::reader(platform).field("time.beta", spec.beta);
   }
   if (overrides("policy")) spec.policy.name = cli.get("policy");
   if (overrides("selector")) spec.policy.selector = cli.get("selector");

@@ -38,6 +38,7 @@ FIXTURES = "tests/lint_fixtures"
 LINT_RULES = frozenset({
     "raw-parse", "determinism", "new-delete", "catch-all", "pragma-once",
     "include-hygiene", "tsa-escape", "iostream", "eager-ingest",
+    "config-one-way",
 })
 ARCH_RULES = frozenset({
     "layer-violation", "skip-interface", "include-cycle", "orphan-header",

@@ -34,6 +34,13 @@ can express, over src/, tests/, examples/ and bench/:
                    through the row/CSV writers. The CLI/daemon entry
                    points that legitimately own stdout/stderr carry a
                    suppression naming that fact.
+  config-one-way   src/ outside src/util/config.* and src/report/grid.cpp
+                   must not call the util::Config getters (get_string,
+                   get_double, get_int, get_bool, get_*_list): serialized
+                   values read and write their keys through one
+                   util::ConfigCodec function, so a key cannot be read
+                   without being written. grid.cpp's `sweep.*` axes are
+                   read-only by design.
   eager-ingest     src/ outside src/workload (where it is defined) must
                    not call wl::load_source(): every execution path pulls
                    jobs through wl::open_stream()/JobStream one submit
@@ -111,6 +118,10 @@ CATCH_ALL_RE = re.compile(r"catch\s*\(\s*\.\.\.\s*\)")
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"]([^>"]+)[>"]')
 IOSTREAM_RE = re.compile(r'^\s*#\s*include\s*[<"]iostream[>"]')
 TSA_ESCAPE = "BSLD_NO_THREAD_SAFETY_ANALYSIS"
+CONFIG_GETTER_RE = re.compile(
+    r"(?:\.|->)(get_(?:string|double|int|bool)(?:_list)?)\s*\(")
+CONFIG_GETTER_EXEMPT = ("src/util/config.hpp", "src/util/config.cpp",
+                        "src/report/grid.cpp")
 EAGER_INGEST_RE = re.compile(r"(?<![\w:])(?:wl::|workload::)?load_source\s*\(")
 
 
@@ -251,6 +262,23 @@ def rule_eager_ingest(path, raw, code, text):
     return findings
 
 
+def rule_config_one_way(path, raw, code, text):
+    # A hand-written read with no matching write is how a key drops out of
+    # RunSpec::key() (the sleep ladder once did): serialized values bind
+    # each key once, in a bind_config() that runs in both directions.
+    if not path.startswith("src/") or path in CONFIG_GETTER_EXEMPT:
+        return []
+    findings = []
+    for i, line in enumerate(code, 1):
+        match = CONFIG_GETTER_RE.search(line)
+        if match:
+            findings.append(
+                (i, f"util::Config::{match.group(1)}() outside util/config "
+                    "— bind the key in a bind_config() codec "
+                    "(util::ConfigCodec) so it is read and written once"))
+    return findings
+
+
 def rule_tsa_escape(path, raw, code, text):
     if path == "src/util/thread_annotations.hpp":  # the definition site
         return []
@@ -299,6 +327,10 @@ RULES = {
     "iostream": (rule_iostream,
                  "#include <iostream> in library code under src/ (use "
                  "util::log; entry points suppress with a reason)"),
+    "config-one-way": (rule_config_one_way,
+                       "util::Config getters in src/ outside util/config.* "
+                       "and report/grid.cpp — keys go through one "
+                       "util::ConfigCodec function"),
     "eager-ingest": (rule_eager_ingest,
                      "wl::load_source() call sites in src/ outside "
                      "src/workload — every run ingests jobs through the "

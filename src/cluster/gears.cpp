@@ -48,24 +48,11 @@ GearSet paper_gear_set() {
                   {2.3, 1.5}});
 }
 
-GearSet gear_set_from_config(const util::Config& config) {
-  const GearSet fallback = paper_gear_set();
-  std::vector<double> default_f;
-  std::vector<double> default_v;
-  for (const Gear& gear : fallback.all()) {
-    default_f.push_back(gear.frequency_ghz);
-    default_v.push_back(gear.voltage_v);
-  }
-  const auto freqs = config.get_double_list("gears.frequencies_ghz", default_f);
-  const auto volts = config.get_double_list("gears.voltages_v", default_v);
-  BSLD_REQUIRE(freqs.size() == volts.size(),
-               "gear_set_from_config(): frequency/voltage lists differ in length");
-  std::vector<Gear> gears;
-  gears.reserve(freqs.size());
-  for (std::size_t i = 0; i < freqs.size(); ++i) {
-    gears.push_back({freqs[i], volts[i]});
-  }
-  return GearSet(std::move(gears));
+void bind_config(util::ConfigCodec& codec, GearSet& gears) {
+  std::vector<Gear> rows = gears.all();
+  codec.columns({"gears.frequencies_ghz", "gears.voltages_v"}, rows,
+                &Gear::frequency_ghz, &Gear::voltage_v);
+  if (codec.reading()) gears = GearSet(std::move(rows));
 }
 
 }  // namespace bsld::cluster

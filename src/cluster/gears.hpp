@@ -56,9 +56,9 @@ class GearSet {
 /// The gear set of the paper's Table 2.
 GearSet paper_gear_set();
 
-/// Reads `gears.frequencies_ghz` / `gears.voltages_v` lists from a Config,
-/// falling back to the paper's set. Throws bsld::Error on mismatched list
-/// lengths or invalid values.
-GearSet gear_set_from_config(const util::Config& config);
+/// The `gears.frequencies_ghz` / `gears.voltages_v` lists
+/// (util::ConfigCodec). Reading, an absent list keeps the current gears'
+/// column; mismatched lengths or invalid values are bsld::Errors.
+void bind_config(util::ConfigCodec& codec, GearSet& gears);
 
 }  // namespace bsld::cluster

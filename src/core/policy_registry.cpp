@@ -6,6 +6,7 @@
 #include "core/easy.hpp"
 #include "core/fcfs.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace bsld::core {
 
@@ -82,65 +83,45 @@ PolicyRegistry& PolicyRegistry::global() {
   return *registry;
 }
 
-PolicySpec policy_from_config(const util::Config& config) {
-  PolicySpec spec;
-  spec.name = config.get_string("policy.name", spec.name);
-  spec.selector = config.get_string("policy.selector", spec.selector);
-  spec.assigner = config.get_string("policy.assigner", "");
-  if (config.get_bool("policy.dvfs", false)) {
-    DvfsConfig dvfs;
-    dvfs.bsld_threshold =
-        config.get_double("policy.bsld_threshold", dvfs.bsld_threshold);
-    const std::string wq = config.get_string("policy.wq_threshold", "NO");
+void bind_config(util::ConfigCodec& codec, PolicySpec& spec) {
+  codec.field("policy.name", spec.name);
+  codec.field("policy.selector", spec.selector);
+  codec.non_default("policy.assigner", spec.assigner, std::string());
+  bool dvfs_on = spec.dvfs.has_value();
+  codec.field("policy.dvfs", dvfs_on);
+  if (dvfs_on) {
+    // A DVFS group read without `policy.wq_threshold` has no WQ limit.
+    DvfsConfig dvfs = spec.dvfs.value_or(DvfsConfig{.wq_threshold = {}});
+    codec.field("policy.bsld_threshold", dvfs.bsld_threshold);
+    std::string wq =
+        dvfs.wq_threshold ? std::to_string(*dvfs.wq_threshold) : "NO";
+    codec.field("policy.wq_threshold", wq);
     if (wq == "NO") {
-      dvfs.wq_threshold = std::nullopt;
-    } else {
-      dvfs.wq_threshold = config.get_int("policy.wq_threshold", 0);
+      dvfs.wq_threshold.reset();
+    } else if (codec.reading()) {
+      dvfs.wq_threshold =
+          util::require_int(wq, "Config: key `policy.wq_threshold`");
     }
-    dvfs.bsld_floor = static_cast<Time>(
-        config.get_int("policy.bsld_floor", dvfs.bsld_floor));
-    dvfs.wq_counts_self =
-        config.get_bool("policy.wq_counts_self", dvfs.wq_counts_self);
-    dvfs.backfill_requires_bsld_at_top =
-        config.get_bool("policy.backfill_requires_bsld_at_top",
-                        dvfs.backfill_requires_bsld_at_top);
+    codec.field("policy.bsld_floor", dvfs.bsld_floor);
+    codec.field("policy.wq_counts_self", dvfs.wq_counts_self);
+    codec.field("policy.backfill_requires_bsld_at_top",
+                dvfs.backfill_requires_bsld_at_top);
     spec.dvfs = dvfs;
+  } else {
+    spec.dvfs.reset();
   }
-  if (config.contains("policy.raise.queue_limit")) {
-    DynamicRaiseConfig raise;
-    raise.queue_limit =
-        config.get_int("policy.raise.queue_limit", raise.queue_limit);
-    raise.one_step = config.get_bool("policy.raise.one_step", raise.one_step);
+  std::optional<std::int64_t> queue_limit;
+  if (spec.raise) queue_limit = spec.raise->queue_limit;
+  codec.optional("policy.raise.queue_limit", queue_limit);
+  if (queue_limit) {
+    DynamicRaiseConfig raise = spec.raise.value_or(DynamicRaiseConfig{});
+    raise.queue_limit = *queue_limit;
+    codec.field("policy.raise.one_step", raise.one_step);
     spec.raise = raise;
   }
-  PolicyRegistry::global().require_policy(spec.resolved_name());
-  PolicyRegistry::global().require_assigner(spec.resolved_assigner());
-  return spec;
-}
-
-void policy_to_config(const PolicySpec& spec, util::Config& config) {
-  config.set("policy.name", spec.name);
-  config.set("policy.selector", spec.selector);
-  if (!spec.assigner.empty()) config.set("policy.assigner", spec.assigner);
-  config.set("policy.dvfs", spec.dvfs ? "true" : "false");
-  if (spec.dvfs) {
-    config.set("policy.bsld_threshold",
-               util::config_double(spec.dvfs->bsld_threshold));
-    config.set("policy.wq_threshold",
-               spec.dvfs->wq_threshold
-                   ? std::to_string(*spec.dvfs->wq_threshold)
-                   : std::string("NO"));
-    config.set("policy.bsld_floor", std::to_string(spec.dvfs->bsld_floor));
-    config.set("policy.wq_counts_self",
-               spec.dvfs->wq_counts_self ? "true" : "false");
-    config.set("policy.backfill_requires_bsld_at_top",
-               spec.dvfs->backfill_requires_bsld_at_top ? "true" : "false");
-  }
-  if (spec.raise) {
-    config.set("policy.raise.queue_limit",
-               std::to_string(spec.raise->queue_limit));
-    config.set("policy.raise.one_step",
-               spec.raise->one_step ? "true" : "false");
+  if (codec.reading()) {
+    PolicyRegistry::global().require_policy(spec.resolved_name());
+    PolicyRegistry::global().require_assigner(spec.resolved_assigner());
   }
 }
 

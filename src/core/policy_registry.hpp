@@ -131,14 +131,11 @@ class PolicyRegistry {
   Assigners assigners_{"PolicyRegistry", "assigner"};
 };
 
-/// Reads a PolicySpec from `policy.*` config keys (see policy_to_config).
-/// Validates the policy and assigner names against the global registry.
-PolicySpec policy_from_config(const util::Config& config);
-
-/// Writes the canonical `policy.*` keys: name and selector always, DVFS
-/// keys only when configured, raise keys only when configured, so
-/// round-trips are byte-identical.
-void policy_to_config(const PolicySpec& spec, util::Config& config);
+/// The `policy.*` keys (util::ConfigCodec). The DVFS group is written when
+/// `policy.dvfs` is on (`wq_threshold = NO`, also when absent, means no
+/// limit) and the raise group iff `policy.raise.queue_limit` is. Reading
+/// validates the policy and assigner names against the global registry.
+void bind_config(util::ConfigCodec& codec, PolicySpec& spec);
 
 /// Display form for labels/tables: "EASY BSLD<=2,WQ<=16", "FCFS noDVFS",
 /// "EASY+raise>16 BSLD<=2,WQ<=NO", ...

@@ -28,41 +28,13 @@ void require_absent(const PmSpec& spec, bool cap_allowed) {
 
 }  // namespace
 
-PmSpec pm_from_config(const util::Config& config) {
-  PmSpec spec;
-  spec.name = config.get_string("pm", spec.name);
-  if (config.contains("pm.cap_watts")) {
-    spec.cap_watts = config.get_double("pm.cap_watts", 0.0);
-  }
-  if (config.contains("pm.setpoint_watts")) {
-    spec.setpoint_watts = config.get_double("pm.setpoint_watts", 0.0);
-  }
-  if (config.contains("pm.interval_s")) {
-    spec.interval_s = config.get_int("pm.interval_s", 0);
-  }
-  if (config.contains("pm.gain")) {
-    spec.gain = config.get_double("pm.gain", 0.0);
-  }
-  validate(spec);
-  return spec;
-}
-
-void pm_to_config(const PmSpec& spec, util::Config& config) {
-  if (spec.name != "none") {
-    config.set("pm", spec.name);
-  }
-  if (spec.cap_watts.has_value()) {
-    config.set("pm.cap_watts", util::config_double(*spec.cap_watts));
-  }
-  if (spec.setpoint_watts.has_value()) {
-    config.set("pm.setpoint_watts", util::config_double(*spec.setpoint_watts));
-  }
-  if (spec.interval_s.has_value()) {
-    config.set("pm.interval_s", std::to_string(*spec.interval_s));
-  }
-  if (spec.gain.has_value()) {
-    config.set("pm.gain", util::config_double(*spec.gain));
-  }
+void bind_config(util::ConfigCodec& codec, PmSpec& spec) {
+  codec.non_default("pm", spec.name, std::string("none"));
+  codec.optional("pm.cap_watts", spec.cap_watts);
+  codec.optional("pm.setpoint_watts", spec.setpoint_watts);
+  codec.optional("pm.interval_s", spec.interval_s);
+  codec.optional("pm.gain", spec.gain);
+  if (codec.reading()) validate(spec);
 }
 
 void validate(const PmSpec& spec) {

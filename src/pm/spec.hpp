@@ -3,10 +3,10 @@
 ///
 /// PmSpec is to pm what core::PolicySpec is to scheduling: the value that
 /// rides inside report::RunSpec, round-trips byte-identically through
-/// util::Config, and is validated against the PowerManagerRegistry at
-/// parse time. The default ("none") serializes to nothing at all, so
-/// every pre-existing spec key — and therefore every warm cache entry —
-/// is unchanged by the subsystem's existence.
+/// util::Config (bind_config), and is validated against the
+/// PowerManagerRegistry at parse time. The default ("none") serializes to
+/// nothing at all, so every pre-existing spec key — and therefore every
+/// warm cache entry — is unchanged by the subsystem's existence.
 #pragma once
 
 #include <optional>
@@ -36,14 +36,11 @@ struct PmSpec {
   friend bool operator==(const PmSpec&, const PmSpec&) = default;
 };
 
-/// Reads `pm` / `pm.*` keys from a config (absent keys mean the no-op
-/// default) and validates the result. Throws bsld::Error on unknown
-/// manager names or family-rule violations.
-[[nodiscard]] PmSpec pm_from_config(const util::Config& config);
-
-/// Writes the spec back as `pm` / `pm.*` keys: the exact inverse of
-/// pm_from_config, and nothing at all for the default spec.
-void pm_to_config(const PmSpec& spec, util::Config& config);
+/// The `pm` / `pm.*` keys (util::ConfigCodec): `pm` only when not "none",
+/// each tunable only when set, so the default spec writes nothing at all.
+/// Reading validates the result (absent keys mean the no-op default) and
+/// throws bsld::Error on unknown manager names or family-rule violations.
+void bind_config(util::ConfigCodec& codec, PmSpec& spec);
 
 /// Checks the name against the registry and the family rules above.
 /// Throws bsld::Error with an actionable message on violation.

@@ -74,39 +74,15 @@ double PowerModel::idle_fraction_of_top() const {
   return idle_power() / active_power(gears_.top_index());
 }
 
-PowerModelConfig power_config_from(const util::Config& config) {
-  PowerModelConfig out;
-  out.activity_ratio = config.get_double("power.activity_ratio", out.activity_ratio);
-  out.static_fraction_at_top =
-      config.get_double("power.static_fraction_at_top", out.static_fraction_at_top);
-  out.top_active_power_watts =
-      config.get_double("power.top_active_power_watts", out.top_active_power_watts);
-  const bool has_power = config.contains("power.sleep.power_watts");
-  const bool has_enter = config.contains("power.sleep.enter_after_s");
-  const bool has_wake = config.contains("power.sleep.wake_latency_s");
-  BSLD_REQUIRE(has_power == has_enter && has_enter == has_wake,
-               "power.sleep.{power_watts,enter_after_s,wake_latency_s} must "
-               "be given together");
-  if (has_power) {
-    const std::vector<double> watts =
-        config.get_double_list("power.sleep.power_watts", {});
-    const std::vector<double> enter =
-        config.get_double_list("power.sleep.enter_after_s", {});
-    const std::vector<double> wake =
-        config.get_double_list("power.sleep.wake_latency_s", {});
-    BSLD_REQUIRE(watts.size() == enter.size() && enter.size() == wake.size(),
-                 "power.sleep.* lists must have equal lengths");
-    BSLD_REQUIRE(!watts.empty(), "power.sleep.* lists must not be empty");
-    out.sleep_states.reserve(watts.size());
-    for (std::size_t i = 0; i < watts.size(); ++i) {
-      SleepState state;
-      state.power_watts = watts[i];
-      state.enter_after_s = static_cast<Time>(std::llround(enter[i]));
-      state.wake_latency_s = static_cast<Time>(std::llround(wake[i]));
-      out.sleep_states.push_back(state);
-    }
-  }
-  return out;
+void bind_config(util::ConfigCodec& codec, PowerModelConfig& config) {
+  codec.field("power.activity_ratio", config.activity_ratio);
+  codec.field("power.static_fraction_at_top", config.static_fraction_at_top);
+  codec.field("power.top_active_power_watts", config.top_active_power_watts);
+  codec.optional_columns(
+      {"power.sleep.power_watts", "power.sleep.enter_after_s",
+       "power.sleep.wake_latency_s"},
+      config.sleep_states, &SleepState::power_watts,
+      &SleepState::enter_after_s, &SleepState::wake_latency_s);
 }
 
 }  // namespace bsld::power

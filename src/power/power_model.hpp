@@ -87,11 +87,9 @@ class PowerModel {
   double alpha_ = 0.0;         ///< Static coefficient, W per volt.
 };
 
-/// Reads `power.activity_ratio`, `power.static_fraction_at_top` and
-/// `power.top_active_power_watts` from a Config (paper defaults otherwise),
-/// plus the optional sleep ladder: `power.sleep.power_watts`,
-/// `power.sleep.enter_after_s`, `power.sleep.wake_latency_s` — three
-/// equal-length comma-separated lists, all present or all absent.
-PowerModelConfig power_config_from(const util::Config& config);
+/// The `power.*` keys (util::ConfigCodec). The sleep ladder is three
+/// equal-length lists, written when it has states and read only when all
+/// three keys are given.
+void bind_config(util::ConfigCodec& codec, PowerModelConfig& config);
 
 }  // namespace bsld::power

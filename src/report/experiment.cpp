@@ -11,87 +11,49 @@
 
 namespace bsld::report {
 
-RunSpec RunSpec::parse(const util::Config& config) {
-  RunSpec spec;
-  spec.workload = wl::source_from_config(config);
-  spec.size_scale = config.get_double("scale", spec.size_scale);
-  spec.policy = core::policy_from_config(config);
-  spec.gears = cluster::gear_set_from_config(config);
-  spec.beta = config.get_double("time.beta", spec.beta);
-  spec.power = power::power_config_from(config);
-  if (config.contains("beta.per_job")) {
-    const std::vector<double> range =
-        config.get_double_list("beta.per_job", {});
-    BSLD_REQUIRE(range.size() == 2,
+void bind_config(util::ConfigCodec& codec, RunSpec& spec) {
+  wl::bind_config(codec, spec.workload);
+  codec.field("scale", spec.size_scale);
+  core::bind_config(codec, spec.policy);
+  cluster::bind_config(codec, spec.gears);
+  codec.field("time.beta", spec.beta);
+  power::bind_config(codec, spec.power);
+  std::optional<std::vector<double>> range;
+  if (spec.per_job_beta) {
+    range = {spec.per_job_beta->first, spec.per_job_beta->second};
+  }
+  codec.optional("beta.per_job", range);
+  if (range) {
+    BSLD_REQUIRE(range->size() == 2,
                  "RunSpec: beta.per_job expects `low, high`");
-    spec.per_job_beta = {range[0], range[1]};
+    spec.per_job_beta = {(*range)[0], (*range)[1]};
   }
-  spec.pm = pm::pm_from_config(config);
-  spec.instruments = config.get_string_list("instruments", {});
-  for (const std::string& name : spec.instruments) {
-    sim::InstrumentRegistry::global().require(name);
+  pm::bind_config(codec, spec.pm);
+  codec.non_default("instruments", spec.instruments, {});
+  codec.non_default("retain_jobs", spec.retain_jobs, true);
+  if (codec.reading()) {
+    for (const std::string& name : spec.instruments) {
+      sim::InstrumentRegistry::global().require(name);
+    }
+    // Legacy key: every run streams, but saved specs may still carry it.
+    bool legacy_stream = false;
+    codec.field("stream", legacy_stream);
   }
-  spec.retain_jobs = config.get_bool("retain_jobs", true);
-  // Legacy key: every run streams, but saved specs may still carry it.
-  (void)config.get_bool("stream", false);
-  const std::int64_t cap = config.get_int("sample.cap", 0);
-  BSLD_REQUIRE(cap >= 0, "RunSpec: sample.cap must be >= 0");
-  spec.sample.cap = static_cast<std::uint64_t>(cap);
-  const std::string mode = config.get_string("sample.mode", "decimate");
-  if (mode == "decimate") {
-    spec.sample.mode = util::SamplePlan::Mode::kDecimate;
-  } else if (mode == "reservoir") {
-    spec.sample.mode = util::SamplePlan::Mode::kReservoir;
-  } else {
-    throw Error("RunSpec: unknown sample.mode `" + mode +
-                "` (expected decimate or reservoir)");
+  codec.non_default("sample.cap", spec.sample.cap, std::uint64_t{0});
+  using Mode = util::SamplePlan::Mode;
+  if (codec.reading() || spec.sample.mode != Mode::kDecimate) {
+    codec.choice("sample.mode", spec.sample.mode,
+                 {{"decimate", Mode::kDecimate},
+                  {"reservoir", Mode::kReservoir}});
   }
-  // Seeds use the full uint64 range, which get_int cannot represent;
-  // parse the raw text instead so every saved seed replays.
-  const std::string seed_text = config.get_string("sample.seed", "0");
-  const std::optional<std::uint64_t> seed = util::parse_uint(seed_text);
-  BSLD_REQUIRE(seed.has_value(),
-               "RunSpec: sample.seed is not a 64-bit unsigned integer");
-  spec.sample.seed = *seed;
-  return spec;
+  codec.non_default("sample.seed", spec.sample.seed, std::uint64_t{0});
 }
 
-util::Config RunSpec::to_config() const {
-  util::Config config;
-  wl::source_to_config(workload, config);
-  config.set("scale", util::config_double(size_scale));
-  core::policy_to_config(policy, config);
-  std::vector<double> frequencies;
-  std::vector<double> voltages;
-  for (const cluster::Gear& gear : gears.all()) {
-    frequencies.push_back(gear.frequency_ghz);
-    voltages.push_back(gear.voltage_v);
-  }
-  config.set("gears.frequencies_ghz", util::config_double_list(frequencies));
-  config.set("gears.voltages_v", util::config_double_list(voltages));
-  config.set("time.beta", util::config_double(beta));
-  config.set("power.activity_ratio", util::config_double(power.activity_ratio));
-  config.set("power.static_fraction_at_top",
-             util::config_double(power.static_fraction_at_top));
-  config.set("power.top_active_power_watts",
-             util::config_double(power.top_active_power_watts));
-  if (per_job_beta) {
-    config.set("beta.per_job",
-               util::config_double_list(
-                   {per_job_beta->first, per_job_beta->second}));
-  }
-  pm::pm_to_config(pm, config);
-  if (!instruments.empty()) {
-    config.set("instruments", util::config_string_list(instruments));
-  }
-  if (!retain_jobs) config.set("retain_jobs", "false");
-  if (sample.cap != 0) config.set("sample.cap", std::to_string(sample.cap));
-  if (sample.mode != util::SamplePlan::Mode::kDecimate) {
-    config.set("sample.mode", "reservoir");
-  }
-  if (sample.seed != 0) config.set("sample.seed", std::to_string(sample.seed));
-  return config;
+RunSpec RunSpec::parse(const util::Config& config) {
+  return util::read_config<RunSpec>(config);
 }
+
+util::Config RunSpec::to_config() const { return util::write_config(*this); }
 
 const std::string& RunSpec::key() const {
   const util::ScopedLock lock(key_cache.mutex);

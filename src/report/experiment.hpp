@@ -54,17 +54,14 @@ struct RunSpec {
   /// [first, second] instead of the single platform beta.
   std::optional<std::pair<double, double>> per_job_beta;
   /// Power management, by pm::PowerManagerRegistry name plus tunables.
-  /// The default ("none") is bit-identical to running without a manager;
-  /// serialized as `pm` / `pm.*` keys only when enabled.
+  /// The default ("none") is bit-identical to running without a manager.
   pm::PmSpec pm;
   /// Extra measurement instruments attached to the run, by
-  /// sim::InstrumentRegistry name (e.g. "wait-trace", "utilization").
-  /// Serialized as the `instruments` config key; unknown names fail at
-  /// parse time, listing what is registered.
+  /// sim::InstrumentRegistry name (e.g. "wait-trace", "utilization");
+  /// unknown names fail at parse time, listing what is registered.
   std::vector<std::string> instruments;
   /// Keep the per-job JobOutcome vector in the result (sim::SimulationConfig
-  /// equivalent). Off = streaming aggregate-only runs with O(1) memory;
-  /// serialized as `retain_jobs = false` only when disabled.
+  /// equivalent). Off = streaming aggregate-only runs with O(1) memory.
   bool retain_jobs = true;
   /// Ignored: every run streams. This selected the streaming path while a
   /// materialized one existed, and stays only so existing callers that
@@ -73,9 +70,7 @@ struct RunSpec {
   bool stream = false;
   /// Time-series instrument sampling (wait-trace, utilization): the
   /// default plan retains every point; a non-zero cap bounds retention at
-  /// O(cap) while staying exact below it. Serialized as `sample.cap`,
-  /// `sample.mode` (decimate | reservoir) and `sample.seed`, each only
-  /// when it differs from the default.
+  /// O(cap) while staying exact below it.
   util::SamplePlan sample;
 
   /// Reads a spec from its serialized form. Accepts partial configs —
@@ -128,6 +123,11 @@ struct RunSpec {
   };
   KeyCache key_cache;  ///< Internal; managed by key().
 };
+
+/// Every RunSpec key (util::ConfigCodec), through the codecs of its parts;
+/// optional fields are written only when set or not the default. Reading
+/// also checks instrument names and drops a legacy `stream` key.
+void bind_config(util::ConfigCodec& codec, RunSpec& spec);
 
 /// Spec + everything the run produced.
 ///

@@ -1,22 +1,23 @@
 #include "report/result_cache.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdlib>
 #include <ostream>
 #include <sstream>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
 #include "util/config.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
 #include "util/hash.hpp"
+#include "util/parse.hpp"
 
 namespace bsld::report {
 
 namespace {
+
+using util::parse_exact;
 
 /// First line of every entry; the epoch makes old-format files invisible.
 std::string header_line() {
@@ -33,21 +34,6 @@ std::string epoch_dir_name() {
   return name;
 }
 
-template <typename Int>
-bool parse_int(std::string_view text, Int& out) {
-  const char* first = text.data();
-  const char* last = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out);
-  return ec == std::errc{} && ptr == last;
-}
-
-bool parse_double(std::string_view text, double& out) {
-  const char* first = text.data();
-  const char* last = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out);
-  return ec == std::errc{} && ptr == last;
-}
-
 std::vector<std::string_view> split(std::string_view text, char sep) {
   std::vector<std::string_view> parts;
   std::size_t start = 0;
@@ -60,28 +46,6 @@ std::vector<std::string_view> split(std::string_view text, char sep) {
     parts.push_back(text.substr(start, pos - start));
     start = pos + 1;
   }
-}
-
-std::string int_list(const std::vector<std::int64_t>& values) {
-  std::string out;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += std::to_string(values[i]);
-  }
-  return out;
-}
-
-bool parse_int_list(std::string_view text, std::vector<std::int64_t>& out) {
-  out.clear();
-  if (text.empty()) return true;
-  for (std::string_view part : split(text, ',')) {
-    while (!part.empty() && part.front() == ' ') part.remove_prefix(1);
-    while (!part.empty() && part.back() == ' ') part.remove_suffix(1);
-    std::int64_t value = 0;
-    if (!parse_int(part, value)) return false;
-    out.push_back(value);
-  }
-  return true;
 }
 
 /// Sequential reader over the entry bytes. Every accessor returns false on
@@ -145,6 +109,34 @@ bool section_attrs(std::string_view line, std::string_view name,
   return true;
 }
 
+/// The `[sim]` section: every SimulationResult field but the job rows. Its
+/// reader requires every key, so an entry missing one is a corrupt miss.
+void bind_aggregates(util::ConfigCodec& codec, sim::SimulationResult& sim) {
+  codec.field("workload", sim.workload);
+  codec.field("policy", sim.policy);
+  codec.field("cpus", sim.cpus);
+  codec.field("job_count", sim.job_count);
+  codec.field("avg_bsld", sim.avg_bsld);
+  codec.field("avg_wait", sim.avg_wait);
+  codec.field("reduced_jobs", sim.reduced_jobs);
+  codec.field("boosted_jobs", sim.boosted_jobs);
+  codec.field("jobs_per_gear", sim.jobs_per_gear);
+  power::EnergyReport& energy = sim.energy;
+  codec.field("energy.computational_joules", energy.computational_joules);
+  codec.field("energy.total_joules", energy.total_joules);
+  codec.field("energy.idle_joules", energy.idle_joules);
+  codec.field("energy.busy_core_seconds", energy.busy_core_seconds);
+  codec.field("energy.idle_core_seconds", energy.idle_core_seconds);
+  // 0 for every run without a sleep manager.
+  codec.field("energy.sleep_core_seconds", energy.sleep_core_seconds);
+  codec.field("energy.sleep_joules", energy.sleep_joules);
+  codec.field("energy.horizon", energy.horizon);
+  codec.field("makespan", sim.makespan);
+  codec.field("utilization", sim.utilization);
+  codec.field("events_processed", sim.events_processed);
+  codec.field("peak_live_jobs", sim.peak_live_jobs);
+}
+
 constexpr std::string_view kJobFields =
     "id,submit,size,run_time_top,start,end,gear,final_gear,boosted,"
     "scaled_runtime,scaled_requested,bsld";
@@ -158,37 +150,10 @@ std::string serialize_entry(const RunResult& result) {
   out << "[spec bytes=" << key.size() << "]\n" << key << '\n';
 
   util::Config aggregates;
-  aggregates.set("workload", sim.workload);
-  aggregates.set("policy", sim.policy);
-  aggregates.set("cpus", std::to_string(sim.cpus));
-  aggregates.set("job_count", std::to_string(sim.job_count));
-  aggregates.set("avg_bsld", util::config_double(sim.avg_bsld));
-  aggregates.set("avg_wait", util::config_double(sim.avg_wait));
-  aggregates.set("reduced_jobs", std::to_string(sim.reduced_jobs));
-  aggregates.set("boosted_jobs", std::to_string(sim.boosted_jobs));
-  aggregates.set("jobs_per_gear", int_list(sim.jobs_per_gear));
-  aggregates.set("energy.computational_joules",
-                 util::config_double(sim.energy.computational_joules));
-  aggregates.set("energy.total_joules",
-                 util::config_double(sim.energy.total_joules));
-  aggregates.set("energy.idle_joules",
-                 util::config_double(sim.energy.idle_joules));
-  aggregates.set("energy.busy_core_seconds",
-                 util::config_double(sim.energy.busy_core_seconds));
-  aggregates.set("energy.idle_core_seconds",
-                 util::config_double(sim.energy.idle_core_seconds));
-  // Sleep-state fields (pm = sleep): written unconditionally for a stable
-  // entry shape; 0 for every run without a sleep manager. Entries written
-  // before these keys existed parse as 0 — correct, they are pm-none runs.
-  aggregates.set("energy.sleep_core_seconds",
-                 util::config_double(sim.energy.sleep_core_seconds));
-  aggregates.set("energy.sleep_joules",
-                 util::config_double(sim.energy.sleep_joules));
-  aggregates.set("energy.horizon", std::to_string(sim.energy.horizon));
-  aggregates.set("makespan", std::to_string(sim.makespan));
-  aggregates.set("utilization", util::config_double(sim.utilization));
-  aggregates.set("events_processed", std::to_string(sim.events_processed));
-  aggregates.set("peak_live_jobs", std::to_string(sim.peak_live_jobs));
+  util::ConfigCodec writer = util::ConfigCodec::writer(aggregates);
+  // A writer only reads through the reference, so the shared const payload
+  // is never modified (copying it would copy every job row).
+  bind_aggregates(writer, const_cast<sim::SimulationResult&>(sim));
   out << "[sim]\n" << aggregates.to_string();
 
   out << "[jobs count=" << sim.jobs.size() << " fields=" << kJobFields
@@ -224,75 +189,20 @@ std::string serialize_entry(const RunResult& result) {
   return out.str();
 }
 
-bool parse_aggregates(const std::string& text, sim::SimulationResult& sim) {
-  util::Config config;
-  try {
-    config = util::Config::parse(text);
-  } catch (const Error&) {
-    return false;
-  }
-  static const char* kRequired[] = {
-      "workload",       "policy",
-      "cpus",           "job_count",
-      "avg_bsld",       "avg_wait",
-      "reduced_jobs",   "boosted_jobs",
-      "jobs_per_gear",  "energy.computational_joules",
-      "energy.total_joules",  "energy.idle_joules",
-      "energy.busy_core_seconds", "energy.idle_core_seconds",
-      "energy.horizon", "makespan",
-      "utilization",    "events_processed",
-      "peak_live_jobs"};
-  for (const char* key : kRequired) {
-    if (!config.contains(key)) return false;
-  }
-  try {
-    sim.workload = config.get_string("workload", "");
-    sim.policy = config.get_string("policy", "");
-    sim.cpus = static_cast<std::int32_t>(config.get_int("cpus", 0));
-    sim.job_count = config.get_int("job_count", 0);
-    sim.avg_bsld = config.get_double("avg_bsld", 0.0);
-    sim.avg_wait = config.get_double("avg_wait", 0.0);
-    sim.reduced_jobs = config.get_int("reduced_jobs", 0);
-    sim.boosted_jobs = config.get_int("boosted_jobs", 0);
-    if (!parse_int_list(config.get_string("jobs_per_gear", ""),
-                        sim.jobs_per_gear)) {
-      return false;
-    }
-    sim.energy.computational_joules =
-        config.get_double("energy.computational_joules", 0.0);
-    sim.energy.total_joules = config.get_double("energy.total_joules", 0.0);
-    sim.energy.idle_joules = config.get_double("energy.idle_joules", 0.0);
-    sim.energy.busy_core_seconds =
-        config.get_double("energy.busy_core_seconds", 0.0);
-    sim.energy.idle_core_seconds =
-        config.get_double("energy.idle_core_seconds", 0.0);
-    sim.energy.sleep_core_seconds =
-        config.get_double("energy.sleep_core_seconds", 0.0);
-    sim.energy.sleep_joules = config.get_double("energy.sleep_joules", 0.0);
-    sim.energy.horizon = config.get_int("energy.horizon", 0);
-    sim.makespan = config.get_int("makespan", 0);
-    sim.utilization = config.get_double("utilization", 0.0);
-    sim.events_processed =
-        static_cast<std::uint64_t>(config.get_int("events_processed", 0));
-    sim.peak_live_jobs = config.get_int("peak_live_jobs", 0);
-  } catch (const Error&) {
-    return false;
-  }
-  return true;
-}
-
 bool parse_job_row(std::string_view row, sim::JobOutcome& job) {
   const std::vector<std::string_view> cells = split(row, ',');
   if (cells.size() != 12) return false;
   std::int64_t boosted = 0;
-  if (!parse_int(cells[0], job.id) || !parse_int(cells[1], job.submit) ||
-      !parse_int(cells[2], job.size) || !parse_int(cells[3], job.run_time_top) ||
-      !parse_int(cells[4], job.start) || !parse_int(cells[5], job.end) ||
-      !parse_int(cells[6], job.gear) || !parse_int(cells[7], job.final_gear) ||
-      !parse_int(cells[8], boosted) ||
-      !parse_int(cells[9], job.scaled_runtime) ||
-      !parse_int(cells[10], job.scaled_requested) ||
-      !parse_double(cells[11], job.bsld)) {
+  if (!parse_exact(cells[0], job.id) || !parse_exact(cells[1], job.submit) ||
+      !parse_exact(cells[2], job.size) ||
+      !parse_exact(cells[3], job.run_time_top) ||
+      !parse_exact(cells[4], job.start) || !parse_exact(cells[5], job.end) ||
+      !parse_exact(cells[6], job.gear) ||
+      !parse_exact(cells[7], job.final_gear) ||
+      !parse_exact(cells[8], boosted) ||
+      !parse_exact(cells[9], job.scaled_runtime) ||
+      !parse_exact(cells[10], job.scaled_requested) ||
+      !parse_exact(cells[11], job.bsld)) {
     return false;
   }
   if (boosted != 0 && boosted != 1) return false;
@@ -316,7 +226,7 @@ bool parse_entry(std::string_view bytes, const std::string& expected_key,
     return false;
   }
   std::size_t spec_bytes = 0;
-  if (!parse_int(attrs[0], spec_bytes)) return false;
+  if (!parse_exact(attrs[0], spec_bytes)) return false;
   std::string_view stored_key;
   if (!reader.payload(spec_bytes, stored_key)) return false;
   if (stored_key != expected_key) {
@@ -338,11 +248,20 @@ bool parse_entry(std::string_view bytes, const std::string& expected_key,
   // shares its (immutable) payload across aliasing slots, so there is no
   // in-place mutation path to parse into.
   sim::SimulationResult payload;
-  if (!parse_aggregates(sim_text, payload)) return false;
+  try {
+    const util::Config aggregates = util::Config::parse(sim_text);
+    util::ConfigCodec reader =
+        util::ConfigCodec::reader(aggregates, /*require_all=*/true);
+    bind_aggregates(reader, payload);
+  } catch (const Error&) {
+    return false;
+  }
 
   if (!section_attrs(line, "jobs", {"count", "fields"}, attrs)) return false;
   std::size_t job_count = 0;
-  if (!parse_int(attrs[0], job_count) || attrs[1] != kJobFields) return false;
+  if (!parse_exact(attrs[0], job_count) || attrs[1] != kJobFields) {
+    return false;
+  }
   // A row is at least 12 one-digit cells, 11 commas and '\n': a count the
   // remaining bytes cannot hold is corrupt and must not size the reserve.
   if (job_count > reader.remaining() / 24) return false;
@@ -364,8 +283,8 @@ bool parse_entry(std::string_view bytes, const std::string& expected_key,
     }
     std::size_t rows = 0;
     std::size_t payload_bytes = 0;
-    if (attrs[0].empty() || !parse_int(attrs[1], rows) ||
-        !parse_int(attrs[2], payload_bytes)) {
+    if (attrs[0].empty() || !parse_exact(attrs[1], rows) ||
+        !parse_exact(attrs[2], payload_bytes)) {
       return false;
     }
     std::string_view payload;

@@ -79,8 +79,10 @@ class ResultCache {
   /// Entry format / simulation-behaviour epoch. Bump whenever serialized
   /// fields change meaning, fields are added or removed, or the simulator's
   /// numeric output changes for identical specs — old entries then become
-  /// invisible (and reclaimable) instead of silently wrong.
-  static constexpr int kSchemaEpoch = 2;
+  /// invisible (and reclaimable) instead of silently wrong. Also bumped
+  /// when keys stop aliasing: epoch 3 added the sleep ladder to the key,
+  /// and an epoch-2 `pm = sleep` entry may hold another ladder's numbers.
+  static constexpr int kSchemaEpoch = 3;
 
   /// Process-lifetime counters (not persisted).
   struct Counters {

@@ -1,36 +1,42 @@
 #include "util/config.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <fstream>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/fs.hpp"
 #include "util/parse.hpp"
 
 namespace bsld::util {
 
 namespace {
 
-std::string trim(const std::string& s) {
-  auto begin = s.begin();
-  auto end = s.end();
-  while (begin != end && std::isspace(static_cast<unsigned char>(*begin))) {
-    ++begin;
+/// The ", "-joined list form ("0.8, 1.1, 1.4") the list getters parse back
+/// item for item.
+template <typename T, typename Render>
+std::string list_text(const std::vector<T>& values, Render render) {
+  std::string out;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i != 0) out += ", ";
+    out += render(values[i]);
   }
-  while (end != begin && std::isspace(static_cast<unsigned char>(*(end - 1)))) {
-    --end;
-  }
-  return std::string(begin, end);
+  return out;
 }
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return s;
+/// The comma-separated items of a list value: trimmed, empties dropped,
+/// order kept.
+std::vector<std::string> list_items(const std::string& text) {
+  std::vector<std::string> items;
+  std::istringstream in(text);
+  for (std::string item; std::getline(in, item, ',');) {
+    const std::string_view trimmed = strip(item);
+    if (!trimmed.empty()) items.emplace_back(trimmed);
+  }
+  return items;
 }
+
+std::string what(const std::string& key) { return "Config: key `" + key + "`"; }
 
 }  // namespace
 
@@ -43,14 +49,14 @@ Config Config::parse(const std::string& text) {
     ++line_no;
     const auto comment = line.find('#');
     if (comment != std::string::npos) line.erase(comment);
-    const std::string trimmed = trim(line);
+    const std::string trimmed(strip(line));
     if (trimmed.empty()) continue;
     const auto eq = trimmed.find('=');
     BSLD_REQUIRE(eq != std::string::npos,
                  "Config: line " + std::to_string(line_no) +
                      " is not `key = value`: " + trimmed);
-    const std::string key = trim(trimmed.substr(0, eq));
-    const std::string value = trim(trimmed.substr(eq + 1));
+    const std::string key(strip(trimmed.substr(0, eq)));
+    const std::string value(strip(trimmed.substr(eq + 1)));
     BSLD_REQUIRE(!key.empty(),
                  "Config: empty key on line " + std::to_string(line_no));
     BSLD_REQUIRE(!config.values_.contains(key),
@@ -62,11 +68,9 @@ Config Config::parse(const std::string& text) {
 }
 
 Config Config::load_file(const std::string& path) {
-  std::ifstream in(path);
-  BSLD_REQUIRE(in.good(), "Config: cannot open file `" + path + "`");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse(buffer.str());
+  const std::optional<std::string> text = read_file_bytes(path);
+  BSLD_REQUIRE(text.has_value(), "Config: cannot open file `" + path + "`");
+  return parse(*text);
 }
 
 void Config::set(const std::string& key, std::string value) {
@@ -77,77 +81,9 @@ bool Config::contains(const std::string& key) const {
   return values_.contains(key);
 }
 
-std::optional<std::string> Config::raw(const std::string& key) const {
+const std::string* Config::raw(const std::string& key) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::string Config::get_string(const std::string& key,
-                               const std::string& fallback) const {
-  return raw(key).value_or(fallback);
-}
-
-double Config::get_double(const std::string& key, double fallback) const {
-  const auto value = raw(key);
-  if (!value) return fallback;
-  return require_double(*value, "Config: key `" + key + "`");
-}
-
-std::int64_t Config::get_int(const std::string& key,
-                             std::int64_t fallback) const {
-  const auto value = raw(key);
-  if (!value) return fallback;
-  return require_int(*value, "Config: key `" + key + "`");
-}
-
-bool Config::get_bool(const std::string& key, bool fallback) const {
-  const auto value = raw(key);
-  if (!value) return fallback;
-  const std::string v = lower(trim(*value));
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  throw Error("Config: key `" + key + "` is not a boolean: " + *value);
-}
-
-std::vector<double> Config::get_double_list(
-    const std::string& key, const std::vector<double>& fallback) const {
-  const auto value = raw(key);
-  if (!value) return fallback;
-  std::vector<double> out;
-  std::istringstream in(*value);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    const std::string trimmed = trim(item);
-    if (trimmed.empty()) continue;
-    const std::optional<double> parsed = parse_double(trimmed);
-    if (!parsed) {
-      throw Error("Config: key `" + key + "` has a non-numeric item: " + item);
-    }
-    out.push_back(*parsed);
-  }
-  return out;
-}
-
-std::vector<std::string> Config::get_string_list(
-    const std::string& key, const std::vector<std::string>& fallback) const {
-  const auto value = raw(key);
-  if (!value) return fallback;
-  std::vector<std::string> out;
-  std::istringstream in(*value);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    const std::string trimmed = trim(item);
-    if (!trimmed.empty()) out.push_back(trimmed);
-  }
-  return out;
-}
-
-std::vector<std::string> Config::keys() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [key, _] : values_) out.push_back(key);
-  return out;
+  return it == values_.end() ? nullptr : &it->second;
 }
 
 std::string Config::to_string() const {
@@ -158,30 +94,107 @@ std::string Config::to_string() const {
   return os.str();
 }
 
+const std::string* ConfigCodec::find(const std::string& key) const {
+  const std::string* text = in_->raw(key);
+  BSLD_REQUIRE(text != nullptr || !require_all_,
+               "Config: missing key `" + key + "`");
+  return text;
+}
+
+void ConfigCodec::field(const std::string& key, std::string& value) {
+  if (!reading()) out_->set(key, value);
+  else if (const std::string* text = find(key)) value = *text;
+}
+
+void ConfigCodec::field(const std::string& key, double& value) {
+  if (!reading()) {
+    out_->set(key, config_double(value));
+  } else if (const std::string* text = find(key)) {
+    value = require_double(*text, what(key));
+  }
+}
+
+void ConfigCodec::field(const std::string& key, bool& value) {
+  if (!reading()) {
+    out_->set(key, value ? "true" : "false");
+  } else if (const std::string* text = find(key)) {
+    std::string v(strip(*text));
+    for (char& c : v) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    if (v == "true" || v == "1" || v == "yes" || v == "on") value = true;
+    else if (v == "false" || v == "0" || v == "no" || v == "off") value = false;
+    else throw Error(what(key) + " is not a boolean: " + *text);
+  }
+}
+
+void ConfigCodec::field(const std::string& key, std::int64_t& value) {
+  if (!reading()) {
+    out_->set(key, std::to_string(value));
+  } else if (const std::string* text = find(key)) {
+    value = require_int(*text, what(key));
+  }
+}
+
+void ConfigCodec::field(const std::string& key, std::int32_t& value) {
+  if (!reading()) {
+    out_->set(key, std::to_string(value));
+  } else if (const std::string* text = find(key)) {
+    const std::int64_t wide = require_int(*text, what(key));
+    const std::optional<std::int32_t> narrow = narrow_int32(wide);
+    BSLD_REQUIRE(narrow.has_value(),
+                 what(key) + " is outside the int32 range: " + *text);
+    value = *narrow;
+  }
+}
+
+void ConfigCodec::field(const std::string& key, std::uint64_t& value) {
+  if (!reading()) {
+    out_->set(key, std::to_string(value));
+  } else if (const std::string* text = find(key)) {
+    value = require_uint(*text, what(key));
+  }
+}
+
+void ConfigCodec::field(const std::string& key, std::vector<double>& value) {
+  if (!reading()) {
+    out_->set(key, list_text(value, config_double));
+  } else if (const std::string* text = find(key)) {
+    value.clear();
+    for (const std::string& item : list_items(*text)) {
+      const std::optional<double> parsed = parse_double(item);
+      if (!parsed) throw Error(what(key) + " has a non-numeric item: " + item);
+      value.push_back(*parsed);
+    }
+  }
+}
+
+void ConfigCodec::field(const std::string& key,
+                        std::vector<std::int64_t>& value) {
+  const auto text = [](std::int64_t item) { return std::to_string(item); };
+  if (!reading()) {
+    out_->set(key, list_text(value, text));
+  } else if (const std::string* items = find(key)) {
+    value.clear();
+    for (const std::string& item : list_items(*items)) {
+      value.push_back(require_int(item, what(key)));
+    }
+  }
+}
+
+void ConfigCodec::field(const std::string& key,
+                        std::vector<std::string>& value) {
+  const auto same = [](const std::string& item) { return item; };
+  if (!reading()) out_->set(key, list_text(value, same));
+  else if (const std::string* text = find(key)) value = list_items(*text);
+}
+
 std::string config_double(double value) {
   char buffer[64];
   const auto [end, ec] =
       std::to_chars(buffer, buffer + sizeof(buffer), value);
   BSLD_REQUIRE(ec == std::errc{}, "config_double(): value not representable");
   return std::string(buffer, end);
-}
-
-std::string config_double_list(const std::vector<double>& values) {
-  std::string out;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += config_double(values[i]);
-  }
-  return out;
-}
-
-std::string config_string_list(const std::vector<std::string>& values) {
-  std::string out;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += values[i];
-  }
-  return out;
 }
 
 }  // namespace bsld::util

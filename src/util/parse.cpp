@@ -1,15 +1,11 @@
 #include "util/parse.hpp"
 
 #include <cctype>
-#include <charconv>
 #include <cmath>
-#include <system_error>
 
 #include "util/error.hpp"
 
 namespace bsld::util {
-
-namespace {
 
 std::string_view strip(std::string_view text) {
   while (!text.empty() &&
@@ -23,6 +19,8 @@ std::string_view strip(std::string_view text) {
   return text;
 }
 
+namespace {
+
 /// std::from_chars rejects an explicit '+' sign; users type it. Strip it
 /// only when a sign-less token follows, so "+-5" and "++5" stay rejected.
 std::string_view strip_plus(std::string_view text) {
@@ -33,14 +31,10 @@ std::string_view strip_plus(std::string_view text) {
   return text;
 }
 
-template <typename Int>
-std::optional<Int> parse_integral(std::string_view text) {
-  text = strip_plus(strip(text));
-  if (text.empty()) return std::nullopt;
-  Int value{};
-  const char* last = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), last, value);
-  if (ec != std::errc{} || ptr != last) return std::nullopt;
+template <typename T>
+std::optional<T> parse_number(std::string_view text) {
+  T value{};
+  if (!parse_exact(strip_plus(strip(text)), value)) return std::nullopt;
   return value;
 }
 
@@ -53,23 +47,17 @@ std::optional<Int> parse_integral(std::string_view text) {
 }  // namespace
 
 std::optional<double> parse_double(std::string_view text) {
-  text = strip_plus(strip(text));
-  if (text.empty()) return std::nullopt;
-  double value = 0.0;
-  const char* last = text.data() + text.size();
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), last, value, std::chars_format::general);
-  if (ec != std::errc{} || ptr != last) return std::nullopt;
-  if (!std::isfinite(value)) return std::nullopt;  // nan/inf spellings.
+  const std::optional<double> value = parse_number<double>(text);
+  if (value && !std::isfinite(*value)) return std::nullopt;  // nan/inf.
   return value;
 }
 
 std::optional<std::int64_t> parse_int(std::string_view text) {
-  return parse_integral<std::int64_t>(text);
+  return parse_number<std::int64_t>(text);
 }
 
 std::optional<std::uint64_t> parse_uint(std::string_view text) {
-  return parse_integral<std::uint64_t>(text);
+  return parse_number<std::uint64_t>(text);
 }
 
 double require_double(std::string_view text, const std::string& what) {

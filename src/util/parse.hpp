@@ -13,12 +13,17 @@
 /// protocol reply), never a crash or a silently truncated value.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 
 namespace bsld::util {
+
+/// `text` without its surrounding whitespace (the "C" locale's).
+[[nodiscard]] std::string_view strip(std::string_view text);
 
 /// Parses the whole of `text` (surrounding ASCII whitespace ignored, one
 /// optional leading '+' or '-') as a finite double. Rejects empty input,
@@ -32,6 +37,16 @@ namespace bsld::util {
 
 /// Unsigned variant spanning the full uint64 range (workload seeds).
 [[nodiscard]] std::optional<std::uint64_t> parse_uint(std::string_view text);
+
+/// Whole-token std::from_chars for machine-written fields (SWF records,
+/// cache entries): no whitespace, no '+', nothing after the number. False,
+/// leaving `out` unchanged, when `text` is not exactly one T.
+template <typename T>
+[[nodiscard]] bool parse_exact(std::string_view text, T& out) {
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, out);
+  return ec == std::errc{} && ptr == last;
+}
 
 /// Checked narrowing of a parsed integer: std::nullopt when `value` lies
 /// outside int32's range (a static_cast would wrap it silently).

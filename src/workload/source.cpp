@@ -6,7 +6,6 @@
 #include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/log.hpp"
-#include "util/parse.hpp"
 #include "workload/swf.hpp"
 
 namespace bsld::wl {
@@ -18,166 +17,6 @@ namespace {
 /// logging order, clock skews) while keeping memory bounded. A record out
 /// of order by more than this many positions makes SortingJobStream throw.
 constexpr std::size_t kSwfSortWindow = std::size_t{1} << 16;
-
-const char* kind_name(WorkloadSource::Kind kind) {
-  switch (kind) {
-    case WorkloadSource::Kind::kArchive: return "archive";
-    case WorkloadSource::Kind::kSwf: return "swf";
-    case WorkloadSource::Kind::kInline: return "inline";
-  }
-  return "?";
-}
-
-WorkloadSource::Kind kind_from_name(const std::string& name) {
-  if (name == "archive") return WorkloadSource::Kind::kArchive;
-  if (name == "swf") return WorkloadSource::Kind::kSwf;
-  if (name == "inline") return WorkloadSource::Kind::kInline;
-  throw Error("WorkloadSource: unknown workload.source kind `" + name +
-              "` (expected archive, swf or inline)");
-}
-
-Time get_time(const util::Config& config, const std::string& key,
-              Time fallback) {
-  return static_cast<Time>(config.get_int(key, fallback));
-}
-
-/// Seeds span the full uint64 range, which Config::get_int (int64) cannot
-/// represent; parse the raw text instead so every saved seed replays.
-std::uint64_t get_seed(const util::Config& config) {
-  const std::string text = config.get_string("workload.seed", "0");
-  const std::optional<std::uint64_t> seed = util::parse_uint(text);
-  if (!seed) {
-    throw Error("WorkloadSource: workload.seed is not a 64-bit unsigned "
-                "integer: " + text);
-  }
-  return *seed;
-}
-
-/// `workload.spec.*` keys <-> WorkloadSpec. The runtime mixture is stored
-/// as three parallel lists (weights/mus/sigmas).
-WorkloadSpec spec_from_config(const util::Config& config) {
-  const WorkloadSpec defaults;
-  WorkloadSpec spec;
-  spec.name = config.get_string("workload.spec.name", defaults.name);
-  spec.cpus = static_cast<std::int32_t>(
-      config.get_int("workload.spec.cpus", defaults.cpus));
-  spec.num_jobs = config.get_int("workload.spec.num_jobs", defaults.num_jobs);
-
-  ArrivalModel& a = spec.arrival;
-  a.load_target =
-      config.get_double("workload.spec.arrival.load_target", a.load_target);
-  a.burst_probability = config.get_double(
-      "workload.spec.arrival.burst_probability", a.burst_probability);
-  a.burst_gap_mean =
-      config.get_double("workload.spec.arrival.burst_gap_mean", a.burst_gap_mean);
-  a.daily_amplitude = config.get_double("workload.spec.arrival.daily_amplitude",
-                                        a.daily_amplitude);
-  a.peak_hour = config.get_double("workload.spec.arrival.peak_hour", a.peak_hour);
-
-  SizeModel& s = spec.size;
-  s.p_sequential =
-      config.get_double("workload.spec.size.p_sequential", s.p_sequential);
-  s.min_size = static_cast<std::int32_t>(
-      config.get_int("workload.spec.size.min_size", s.min_size));
-  s.max_size = static_cast<std::int32_t>(
-      config.get_int("workload.spec.size.max_size", s.max_size));
-  s.log2_mean = config.get_double("workload.spec.size.log2_mean", s.log2_mean);
-  s.log2_sigma = config.get_double("workload.spec.size.log2_sigma", s.log2_sigma);
-  s.p_power_of_two =
-      config.get_double("workload.spec.size.p_power_of_two", s.p_power_of_two);
-
-  RuntimeModel& r = spec.runtime;
-  std::vector<double> weights;
-  std::vector<double> mus;
-  std::vector<double> sigmas;
-  for (const RuntimeClass& klass : defaults.runtime.classes) {
-    weights.push_back(klass.weight);
-    mus.push_back(klass.mu);
-    sigmas.push_back(klass.sigma);
-  }
-  weights = config.get_double_list("workload.spec.runtime.weights", weights);
-  mus = config.get_double_list("workload.spec.runtime.mus", mus);
-  sigmas = config.get_double_list("workload.spec.runtime.sigmas", sigmas);
-  BSLD_REQUIRE(weights.size() == mus.size() && mus.size() == sigmas.size(),
-               "WorkloadSource: workload.spec.runtime weights/mus/sigmas "
-               "lists differ in length");
-  r.classes.clear();
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    r.classes.push_back(RuntimeClass{weights[i], mus[i], sigmas[i]});
-  }
-  r.min_runtime =
-      get_time(config, "workload.spec.runtime.min_runtime", r.min_runtime);
-  r.max_runtime =
-      get_time(config, "workload.spec.runtime.max_runtime", r.max_runtime);
-
-  EstimateModel& e = spec.estimate;
-  e.p_exact = config.get_double("workload.spec.estimate.p_exact", e.p_exact);
-  e.factor_mu =
-      config.get_double("workload.spec.estimate.factor_mu", e.factor_mu);
-  e.factor_sigma =
-      config.get_double("workload.spec.estimate.factor_sigma", e.factor_sigma);
-  e.round_to_nice =
-      config.get_bool("workload.spec.estimate.round_to_nice", e.round_to_nice);
-  e.max_requested =
-      get_time(config, "workload.spec.estimate.max_requested", e.max_requested);
-  return spec;
-}
-
-void spec_to_config(const WorkloadSpec& spec, util::Config& config) {
-  config.set("workload.spec.name", spec.name);
-  config.set("workload.spec.cpus", std::to_string(spec.cpus));
-  config.set("workload.spec.num_jobs", std::to_string(spec.num_jobs));
-
-  const ArrivalModel& a = spec.arrival;
-  config.set("workload.spec.arrival.load_target",
-             util::config_double(a.load_target));
-  config.set("workload.spec.arrival.burst_probability",
-             util::config_double(a.burst_probability));
-  config.set("workload.spec.arrival.burst_gap_mean",
-             util::config_double(a.burst_gap_mean));
-  config.set("workload.spec.arrival.daily_amplitude",
-             util::config_double(a.daily_amplitude));
-  config.set("workload.spec.arrival.peak_hour",
-             util::config_double(a.peak_hour));
-
-  const SizeModel& s = spec.size;
-  config.set("workload.spec.size.p_sequential",
-             util::config_double(s.p_sequential));
-  config.set("workload.spec.size.min_size", std::to_string(s.min_size));
-  config.set("workload.spec.size.max_size", std::to_string(s.max_size));
-  config.set("workload.spec.size.log2_mean", util::config_double(s.log2_mean));
-  config.set("workload.spec.size.log2_sigma",
-             util::config_double(s.log2_sigma));
-  config.set("workload.spec.size.p_power_of_two",
-             util::config_double(s.p_power_of_two));
-
-  std::vector<double> weights;
-  std::vector<double> mus;
-  std::vector<double> sigmas;
-  for (const RuntimeClass& klass : spec.runtime.classes) {
-    weights.push_back(klass.weight);
-    mus.push_back(klass.mu);
-    sigmas.push_back(klass.sigma);
-  }
-  config.set("workload.spec.runtime.weights", util::config_double_list(weights));
-  config.set("workload.spec.runtime.mus", util::config_double_list(mus));
-  config.set("workload.spec.runtime.sigmas", util::config_double_list(sigmas));
-  config.set("workload.spec.runtime.min_runtime",
-             std::to_string(spec.runtime.min_runtime));
-  config.set("workload.spec.runtime.max_runtime",
-             std::to_string(spec.runtime.max_runtime));
-
-  const EstimateModel& e = spec.estimate;
-  config.set("workload.spec.estimate.p_exact", util::config_double(e.p_exact));
-  config.set("workload.spec.estimate.factor_mu",
-             util::config_double(e.factor_mu));
-  config.set("workload.spec.estimate.factor_sigma",
-             util::config_double(e.factor_sigma));
-  config.set("workload.spec.estimate.round_to_nice",
-             e.round_to_nice ? "true" : "false");
-  config.set("workload.spec.estimate.max_requested",
-             std::to_string(e.max_requested));
-}
 
 /// JobStream facade over an SwfRecordStream owned by the enclosing
 /// SwfSourceStream (which also owns the file handle). Optionally replays
@@ -442,50 +281,74 @@ WorkloadSource resolve_source(const std::string& name_or_path,
   return source;
 }
 
-WorkloadSource source_from_config(const util::Config& config) {
-  WorkloadSource source;
-  source.kind = kind_from_name(config.get_string("workload.source", "archive"));
+void bind_config(util::ConfigCodec& codec, WorkloadSource& source) {
+  using Kind = WorkloadSource::Kind;
+  codec.choice("workload.source", source.kind,
+               {{"archive", Kind::kArchive},
+                {"swf", Kind::kSwf},
+                {"inline", Kind::kInline}});
   // Kind-appropriate default, matching the factory functions: generated
   // archives default to the paper's 5000-job slices, SWF files to "whole
   // file" and inline specs to their own num_jobs (both jobs = 0).
-  source.jobs = source.kind == WorkloadSource::Kind::kArchive ? 5000 : 0;
-  source.jobs = config.get_int("workload.jobs", source.jobs);
-  source.seed = get_seed(config);
+  if (codec.reading()) {
+    source.jobs = source.kind == Kind::kArchive ? 5000 : 0;
+  }
+  codec.field("workload.jobs", source.jobs);
+  codec.field("workload.seed", source.seed);
   switch (source.kind) {
-    case WorkloadSource::Kind::kArchive:
-      source.archive =
-          archive_from_name(config.get_string("workload.archive", "CTC"));
+    case Kind::kArchive: {
+      std::string archive = archive_name(source.archive);
+      codec.field("workload.archive", archive);
+      if (codec.reading()) source.archive = archive_from_name(archive);
       break;
-    case WorkloadSource::Kind::kSwf:
-      source.path = config.get_string("workload.path", "");
-      BSLD_REQUIRE(!source.path.empty(),
+    }
+    case Kind::kSwf:
+      codec.field("workload.path", source.path);
+      BSLD_REQUIRE(!codec.reading() || !source.path.empty(),
                    "WorkloadSource: swf source needs workload.path");
-      source.cpus = static_cast<std::int32_t>(
-          config.get_int("workload.cpus", source.cpus));
+      codec.field("workload.cpus", source.cpus);
       break;
-    case WorkloadSource::Kind::kInline:
-      source.spec = spec_from_config(config);
+    case Kind::kInline:
+      bind_config(codec, source.spec);
       break;
   }
-  return source;
 }
 
-void source_to_config(const WorkloadSource& source, util::Config& config) {
-  config.set("workload.source", kind_name(source.kind));
-  config.set("workload.jobs", std::to_string(source.jobs));
-  config.set("workload.seed", std::to_string(source.seed));
-  switch (source.kind) {
-    case WorkloadSource::Kind::kArchive:
-      config.set("workload.archive", archive_name(source.archive));
-      break;
-    case WorkloadSource::Kind::kSwf:
-      config.set("workload.path", source.path);
-      config.set("workload.cpus", std::to_string(source.cpus));
-      break;
-    case WorkloadSource::Kind::kInline:
-      spec_to_config(source.spec, config);
-      break;
-  }
+void bind_config(util::ConfigCodec& codec, WorkloadSpec& spec) {
+  codec.field("workload.spec.name", spec.name);
+  codec.field("workload.spec.cpus", spec.cpus);
+  codec.field("workload.spec.num_jobs", spec.num_jobs);
+
+  ArrivalModel& a = spec.arrival;
+  codec.field("workload.spec.arrival.load_target", a.load_target);
+  codec.field("workload.spec.arrival.burst_probability", a.burst_probability);
+  codec.field("workload.spec.arrival.burst_gap_mean", a.burst_gap_mean);
+  codec.field("workload.spec.arrival.daily_amplitude", a.daily_amplitude);
+  codec.field("workload.spec.arrival.peak_hour", a.peak_hour);
+
+  SizeModel& s = spec.size;
+  codec.field("workload.spec.size.p_sequential", s.p_sequential);
+  codec.field("workload.spec.size.min_size", s.min_size);
+  codec.field("workload.spec.size.max_size", s.max_size);
+  codec.field("workload.spec.size.log2_mean", s.log2_mean);
+  codec.field("workload.spec.size.log2_sigma", s.log2_sigma);
+  codec.field("workload.spec.size.p_power_of_two", s.p_power_of_two);
+
+  RuntimeModel& r = spec.runtime;
+  codec.columns(
+      {"workload.spec.runtime.weights", "workload.spec.runtime.mus",
+       "workload.spec.runtime.sigmas"},
+      r.classes, &RuntimeClass::weight, &RuntimeClass::mu,
+      &RuntimeClass::sigma);
+  codec.field("workload.spec.runtime.min_runtime", r.min_runtime);
+  codec.field("workload.spec.runtime.max_runtime", r.max_runtime);
+
+  EstimateModel& e = spec.estimate;
+  codec.field("workload.spec.estimate.p_exact", e.p_exact);
+  codec.field("workload.spec.estimate.factor_mu", e.factor_mu);
+  codec.field("workload.spec.estimate.factor_sigma", e.factor_sigma);
+  codec.field("workload.spec.estimate.round_to_nice", e.round_to_nice);
+  codec.field("workload.spec.estimate.max_requested", e.max_requested);
 }
 
 }  // namespace bsld::wl

@@ -19,7 +19,7 @@
 /// load_source() is its drain — open_stream() + materialize() — kept for
 /// every consumer that wants random access; both paths produce identical
 /// bytes by construction. Sources serialize to util::Config (`workload.*`
-/// keys) as part of report::RunSpec's round-trippable form.
+/// keys, bind_config) as part of report::RunSpec's round-trippable form.
 #pragma once
 
 #include <cstdint>
@@ -108,14 +108,15 @@ std::uint64_t source_seed(const WorkloadSource& source);
 WorkloadSource resolve_source(const std::string& name_or_path,
                               std::int64_t jobs = 5000, std::uint64_t seed = 0);
 
-/// Reads a source from `workload.*` config keys (see source_to_config).
-/// Throws bsld::Error on an unknown `workload.source` kind or archive name.
-WorkloadSource source_from_config(const util::Config& config);
+/// The `workload.*` keys (util::ConfigCodec): kind, jobs and seed, then the
+/// keys its kind needs. Reading, an absent `workload.jobs` takes the kind's
+/// default (5000 for archives, 0 otherwise); an unknown kind or archive or
+/// an swf source without `workload.path` is a bsld::Error.
+void bind_config(util::ConfigCodec& codec, WorkloadSource& source);
 
-/// Writes the canonical `workload.*` keys for the source: exactly the keys
-/// its kind needs, values in canonical form, so
-/// source_from_config(to_config(s)) == s and re-serialization is
-/// byte-identical.
-void source_to_config(const WorkloadSource& source, util::Config& config);
+/// The `workload.spec.*` keys of an inline generator profile. The runtime
+/// mixture is three parallel lists (weights/mus/sigmas); `cpus` and the
+/// size bounds are checked int32.
+void bind_config(util::ConfigCodec& codec, WorkloadSpec& spec);
 
 }  // namespace bsld::wl

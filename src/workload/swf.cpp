@@ -14,27 +14,21 @@ namespace bsld::wl {
 
 namespace {
 
-/// Parses one signed integer token; returns false on garbage.
-bool parse_int(std::string_view token, std::int64_t& out) {
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto result = std::from_chars(begin, end, out);
-  return result.ec == std::errc{} && result.ptr == end;
-}
+using util::parse_exact;
 
 /// Parses one signed integer token that must fit int32 (processor counts,
 /// user ids); returns false on garbage or a value outside int32.
 bool parse_int32(std::string_view token, std::int32_t& out) {
   std::int64_t value = 0;
-  const auto narrow = parse_int(token, value) ? util::narrow_int32(value)
-                                              : std::nullopt;
+  const auto narrow =
+      parse_exact(token, value) ? util::narrow_int32(value) : std::nullopt;
   out = narrow.value_or(0);
   return narrow.has_value();
 }
 
 /// SWF allows fractional seconds in some fields; accept and truncate.
 bool parse_time_like(std::string_view token, std::int64_t& out) {
-  if (parse_int(token, out)) return true;
+  if (parse_exact(token, out)) return true;
   const std::optional<double> value = util::parse_double(token);
   if (!value) return false;
   // Truncating a double outside int64's range is undefined behaviour;
@@ -138,7 +132,7 @@ std::optional<Job> SwfRecordStream::next() {
     // Field indices per SWF definition (0-based here).
     std::int64_t id = 0, submit = 0, run = 0, req_time = 0;
     std::int32_t alloc = 0, req_procs = 0, user = 0;
-    const bool ok = parse_int(fields[0], id) &&
+    const bool ok = parse_exact(fields[0], id) &&
                     parse_time_like(fields[1], submit) &&
                     parse_time_like(fields[3], run) &&
                     parse_int32(fields[4], alloc) &&

@@ -54,14 +54,14 @@ TEST(GearsTest, ToStringListsAllGears) {
 
 TEST(GearsTest, ConfigFallsBackToPaperSet) {
   const util::Config empty;
-  EXPECT_EQ(gear_set_from_config(empty), paper_gear_set());
+  EXPECT_EQ(util::read_config(empty, paper_gear_set()), paper_gear_set());
 }
 
 TEST(GearsTest, ConfigOverrides) {
   const util::Config config = util::Config::parse(
       "gears.frequencies_ghz = 1.0, 2.0\n"
       "gears.voltages_v = 1.1, 1.3\n");
-  const GearSet gears = gear_set_from_config(config);
+  const GearSet gears = util::read_config(config, paper_gear_set());
   ASSERT_EQ(gears.size(), 2u);
   EXPECT_DOUBLE_EQ(gears.top().frequency_ghz, 2.0);
 }
@@ -70,7 +70,7 @@ TEST(GearsTest, ConfigLengthMismatchRejected) {
   const util::Config config = util::Config::parse(
       "gears.frequencies_ghz = 1.0, 2.0\n"
       "gears.voltages_v = 1.1\n");
-  EXPECT_THROW((void)gear_set_from_config(config), Error);
+  EXPECT_THROW((void)util::read_config(config, paper_gear_set()), Error);
 }
 
 }  // namespace

@@ -160,13 +160,11 @@ TEST(PolicyConfigTest, RoundTripsDvfsAndRaise) {
   raise.one_step = true;
   spec.raise = raise;
 
-  util::Config config;
-  policy_to_config(spec, config);
-  const PolicySpec parsed = policy_from_config(config);
+  const util::Config config = util::write_config(spec);
+  const PolicySpec parsed = util::read_config<PolicySpec>(config);
   EXPECT_EQ(parsed, spec);
 
-  util::Config again;
-  policy_to_config(parsed, again);
+  const util::Config again = util::write_config(parsed);
   EXPECT_EQ(again.to_string(), config.to_string());
 }
 
@@ -175,23 +173,23 @@ TEST(PolicyConfigTest, WqNoLimitSerializesAsNO) {
   DvfsConfig dvfs;
   dvfs.wq_threshold = std::nullopt;
   spec.dvfs = dvfs;
-  util::Config config;
-  policy_to_config(spec, config);
+  const util::Config config = util::write_config(spec);
   EXPECT_EQ(config.get_string("policy.wq_threshold", ""), "NO");
-  EXPECT_FALSE(policy_from_config(config).dvfs->wq_threshold.has_value());
+  const PolicySpec parsed = util::read_config<PolicySpec>(config);
+  EXPECT_FALSE(parsed.dvfs->wq_threshold.has_value());
 }
 
 TEST(PolicyConfigTest, UnknownNameRejectedAtParse) {
   util::Config config;
   config.set("policy.name", "round-robin");
-  EXPECT_THROW((void)policy_from_config(config), Error);
+  EXPECT_THROW((void)util::read_config<PolicySpec>(config), Error);
 }
 
 TEST(PolicyConfigTest, UnknownAssignerRejectedAtParse) {
   util::Config config;
   config.set("policy.assigner", "nope");
   try {
-    (void)policy_from_config(config);
+    (void)util::read_config<PolicySpec>(config);
     FAIL() << "expected bsld::Error";
   } catch (const Error& error) {
     EXPECT_NE(std::string(error.what())

@@ -16,15 +16,14 @@ namespace {
 TEST(PmSpec, DefaultIsDisabledAndSerializesToNothing) {
   const PmSpec spec;
   EXPECT_FALSE(spec.enabled());
-  util::Config config;
-  pm_to_config(spec, config);
+  const util::Config config = util::write_config(spec);
   // The no-op default must not change any serialized spec: every
   // pre-existing cache key depends on this.
   EXPECT_EQ(config.to_string(), "");
 }
 
 TEST(PmSpec, AbsentKeysParseToDefault) {
-  const PmSpec spec = pm_from_config(util::Config::parse(""));
+  const PmSpec spec = util::read_config<PmSpec>(util::Config::parse(""));
   EXPECT_EQ(spec, PmSpec{});
 }
 
@@ -51,13 +50,11 @@ TEST(PmSpec, RoundTripsEveryFamily) {
   specs.push_back(setpoint);
 
   for (const PmSpec& spec : specs) {
-    util::Config config;
-    pm_to_config(spec, config);
-    const PmSpec parsed = pm_from_config(config);
+    const util::Config config = util::write_config(spec);
+    const PmSpec parsed = util::read_config<PmSpec>(config);
     EXPECT_EQ(parsed, spec) << config.to_string();
     // Re-serialization is byte-identical (the spec's cache-key property).
-    util::Config again;
-    pm_to_config(parsed, again);
+    const util::Config again = util::write_config(parsed);
     EXPECT_EQ(again.to_string(), config.to_string());
   }
 }

@@ -87,10 +87,27 @@ TEST(PowerModelTest, ConfigFromFile) {
   const util::Config config = util::Config::parse(
       "power.activity_ratio = 3.0\n"
       "power.top_active_power_watts = 80\n");
-  const PowerModelConfig parsed = power_config_from(config);
+  const PowerModelConfig parsed = util::read_config<PowerModelConfig>(config);
   EXPECT_DOUBLE_EQ(parsed.activity_ratio, 3.0);
   EXPECT_DOUBLE_EQ(parsed.top_active_power_watts, 80.0);
   EXPECT_DOUBLE_EQ(parsed.static_fraction_at_top, 0.25);  // default kept
+}
+
+TEST(PowerModelTest, SleepLadderRoundTripsThroughTheConfig) {
+  PowerModelConfig config;
+  config.sleep_states = {{10.0, 60, 1}, {2.0, 600, 30}};
+  const util::Config written = util::write_config(config);
+  EXPECT_EQ(written.get_string("power.sleep.power_watts", ""), "10, 2");
+  EXPECT_EQ(written.get_string("power.sleep.enter_after_s", ""), "60, 600");
+  EXPECT_EQ(written.get_string("power.sleep.wake_latency_s", ""), "1, 30");
+  EXPECT_EQ(util::read_config<PowerModelConfig>(written), config);
+  // Without a ladder no power.sleep.* key is written.
+  EXPECT_EQ(util::write_config(PowerModelConfig{}).to_string().find("sleep"),
+            std::string::npos);
+  // The three lists come together or not at all.
+  EXPECT_THROW((void)util::read_config<PowerModelConfig>(util::Config::parse(
+                   "power.sleep.power_watts = 5\n")),
+               Error);
 }
 
 }  // namespace

@@ -41,7 +41,8 @@ namespace fs = std::filesystem;
 const std::vector<std::string> kTokens = {
     "",      "-",       "0",          "1",
     "-1",    "+5",      "2147483647", "2147483648",
-    "-2147483649",      "4294967297", "9223372036854775807",
+    "-2147483648",      "-2147483649",            "4294967295",
+    "4294967297",       "4294967424", "9223372036854775807",
     "9223372036854775808",            "18446744073709551615",
     "18446744073709551616",           "99999999999999999999",
     "1.5",   "1e400",   "-1e400",     "nan",
@@ -155,11 +156,16 @@ struct Outcomes {
 };
 
 TEST(InputMutationTest, SpecConfigsParseOrFailCleanlyAndReKeyIdentically) {
-  const std::string original = smoke_spec_text();
+  // The smoke spec, and an inline-workload spec whose int32 sizes
+  // (workload.spec.cpus, min_size, max_size) the hostile tokens can hit.
+  RunSpec inline_spec;
+  inline_spec.workload = wl::WorkloadSource::from_spec(wl::WorkloadSpec{}, 3);
+  const std::string originals[] = {smoke_spec_text(),
+                                   inline_spec.to_config().to_string()};
   util::Rng rng(20261019);
   Outcomes outcomes;
   for (int i = 0; i < 3000; ++i) {
-    std::string text = original;
+    std::string text = originals[i % 2];
     const int rounds = static_cast<int>(rng.uniform_int(1, 3));
     for (int r = 0; r < rounds; ++r) text = mutate(rng, text);
     SCOPED_TRACE("case " + std::to_string(i) + ":\n" + text);
@@ -187,6 +193,88 @@ TEST(InputMutationTest, SpecConfigsParseOrFailCleanlyAndReKeyIdentically) {
   }
   EXPECT_GT(outcomes.errors, 0);
   EXPECT_GT(outcomes.valid, 0);
+}
+
+/// The int32 boundary tokens and whether each fits.
+const std::vector<std::pair<std::string, bool>> kInt32Boundaries = {
+    {"2147483647", true},   {"-2147483648", true},  {"2147483648", false},
+    {"-2147483649", false}, {"4294967295", false},  {"4294967297", false},
+    {"4294967424", false},
+};
+
+TEST(InputMutationTest, Int32SpecKeysTakeTheValueOrFailNamingTheKey) {
+  // Machine and job sizes are int32: a value outside that range is an
+  // error naming the key, never a wrapped size (4294967424 once ran a
+  // 128-CPU machine).
+  RunSpec inline_spec;
+  inline_spec.workload = wl::WorkloadSource::from_spec(wl::WorkloadSpec{}, 3);
+  RunSpec swf_spec;
+  swf_spec.workload = wl::WorkloadSource::from_swf("trace.swf", 100, 64);
+  const std::vector<std::pair<std::string, const RunSpec*>> keys = {
+      {"workload.cpus", &swf_spec},
+      {"workload.spec.cpus", &inline_spec},
+      {"workload.spec.size.min_size", &inline_spec},
+      {"workload.spec.size.max_size", &inline_spec},
+  };
+  const auto read = [](const RunSpec& spec, const std::string& key) {
+    const wl::WorkloadSource& w = spec.workload;
+    if (key == "workload.cpus") return w.cpus;
+    if (key == "workload.spec.cpus") return w.spec.cpus;
+    if (key == "workload.spec.size.min_size") return w.spec.size.min_size;
+    return w.spec.size.max_size;
+  };
+  for (const auto& [key, base] : keys) {
+    for (const auto& [token, fits] : kInt32Boundaries) {
+      SCOPED_TRACE(key + " = " + token);
+      util::Config config = base->to_config();
+      config.set(key, token);
+      if (fits) {
+        const RunSpec parsed = RunSpec::parse(config);
+        EXPECT_EQ(std::to_string(read(parsed, key)), token);
+        continue;
+      }
+      try {
+        (void)RunSpec::parse(config);
+        ADD_FAILURE() << "accepted";
+      } catch (const Error& error) {
+        EXPECT_NE(std::string(error.what()).find(key), std::string::npos)
+            << error.what();
+      }
+    }
+  }
+}
+
+TEST(InputMutationTest, OutOfRangeEntryCpusIsACorruptMiss) {
+  const fs::path root =
+      fs::temp_directory_path() /
+      ("bsld-input-mutation-cpus-" + std::to_string(::getpid()));
+  fs::remove_all(root);
+  {
+    RunSpec spec = RunSpec::parse(util::Config::parse(smoke_spec_text()));
+    ResultCache cache(root);
+    const RunResult fresh = run_one(spec);
+    cache.store(fresh);
+    const fs::path entry = cache.entry_path(spec);
+    const std::string stored = util::read_file_bytes(entry).value();
+    const std::string line = "\ncpus = " + std::to_string(fresh.sim().cpus);
+    const std::size_t at = stored.find(line + "\n");
+    ASSERT_NE(at, std::string::npos);
+    std::size_t corrupt = 0;
+    for (const auto& [token, fits] : kInt32Boundaries) {
+      SCOPED_TRACE(token);
+      std::string bytes = stored;
+      bytes.replace(at, line.size(), "\ncpus = " + token);
+      util::atomic_write_file(entry, bytes);
+      const std::optional<RunResult> hit = cache.lookup(spec);
+      EXPECT_EQ(hit.has_value(), fits);
+      if (hit) {
+        EXPECT_EQ(std::to_string(hit->sim().cpus), token);
+      }
+      if (!fits) corrupt += 1;
+      EXPECT_EQ(cache.counters().corrupt, corrupt);
+    }
+  }
+  fs::remove_all(root);
 }
 
 TEST(InputMutationTest, RequestParserSurvivesHostileRequestsAndRecovers) {

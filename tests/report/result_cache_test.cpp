@@ -162,6 +162,32 @@ TEST_F(ResultCacheTest, PowerManagedRunsRoundTripWithTheirSleepEnergy) {
   EXPECT_FALSE(cache.lookup(small_spec()).has_value());
 }
 
+TEST_F(ResultCacheTest, SleepLaddersAreDistinctRunIdentities) {
+  // The C-state ladder changes a sleep-managed run's numbers, so it is part
+  // of the key: a run stored under one ladder is never served for another
+  // ladder, nor for the default ladder (no power.sleep.* keys).
+  const auto with_ladder = [](std::vector<power::SleepState> ladder) {
+    RunSpec spec = small_spec();
+    spec.pm.name = "sleep";
+    spec.power.sleep_states = std::move(ladder);
+    return spec;
+  };
+  const RunSpec a = with_ladder({{10.0, 60, 1}, {2.0, 600, 30}});
+  const RunSpec c = with_ladder({{5.0, 1200, 20}, {1.0, 12000, 300}});
+  const RunSpec none = with_ladder({});
+  const RunResult fresh = run_one(a);
+
+  ResultCache cache(root_);
+  cache.store(fresh);
+  EXPECT_FALSE(cache.lookup(c).has_value());
+  EXPECT_FALSE(cache.lookup(none).has_value());
+  const auto cached = cache.lookup(a);
+  ASSERT_TRUE(cached.has_value());
+  expect_same_sim(fresh.sim(), cached->sim());
+  EXPECT_EQ(cache.counters().misses, 2u);
+  EXPECT_EQ(cache.counters().corrupt, 0u);
+}
+
 TEST_F(ResultCacheTest, PeakLiveJobsRoundTripsAndItsAbsenceIsAMiss) {
   const RunSpec spec = small_spec();
   const RunResult fresh = run_one(spec);

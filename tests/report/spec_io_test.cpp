@@ -6,6 +6,10 @@
 /// replayable.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <utility>
+
 #include "report/experiment.hpp"
 #include "util/error.hpp"
 
@@ -97,6 +101,12 @@ std::vector<RunSpec> representative_specs() {
     specs.push_back(spec);
   }
   {
+    RunSpec spec;  // sleep manager with its own C-state ladder
+    spec.pm.name = "sleep";
+    spec.power.sleep_states = {{10.0, 60, 1}, {2.0, 600, 30}};
+    specs.push_back(spec);
+  }
+  {
     RunSpec spec;  // trace length beyond the int32 boundary
     spec.workload =
         wl::WorkloadSource::from_archive(wl::Archive::kCTC,
@@ -126,6 +136,210 @@ TEST(SpecIoTest, ParseFormatRoundTripIsByteIdentical) {
     EXPECT_EQ(parsed.to_config().to_string(), text);
     EXPECT_EQ(parsed.key(), spec.key());
     EXPECT_EQ(parsed.label(), spec.label());
+  }
+}
+
+/// One spec with every serialized group populated: an inline workload,
+/// DVFS with a WQ limit, dynamic raise, custom gears, a sleep ladder,
+/// per-job beta, the setpoint manager with every tunable, instruments, a
+/// sampled plan and aggregate-only retention.
+RunSpec full_spec() {
+  wl::WorkloadSpec workload;
+  workload.name = "full";
+  workload.cpus = 64;
+  workload.num_jobs = 300;
+  workload.runtime.classes = {{0.6, 4.0, 0.5}, {0.4, 7.5, 1.5}};
+  RunSpec spec;
+  spec.workload = wl::WorkloadSource::from_spec(workload, 17);
+  spec.workload.jobs = 250;
+  spec.size_scale = 1.2;
+  spec.policy.selector = "LastFit";
+  spec.policy.assigner = "bsld";
+  core::DvfsConfig dvfs;
+  dvfs.bsld_threshold = 1.5;
+  dvfs.wq_threshold = 16;
+  spec.policy.dvfs = dvfs;
+  spec.policy.raise = core::DynamicRaiseConfig{};
+  spec.gears = cluster::GearSet({{1.0, 1.0}, {2.0, 1.25}, {3.0, 1.5}});
+  spec.beta = 0.4;
+  spec.power.sleep_states = {{10.0, 60, 1}, {2.0, 600, 30}};
+  spec.per_job_beta = {{0.25, 0.75}};
+  spec.pm.name = "setpoint";
+  spec.pm.setpoint_watts = 350000.0;
+  spec.pm.cap_watts = 400000.0;
+  spec.pm.interval_s = 120;
+  spec.pm.gain = 0.25;
+  spec.instruments = {"wait-trace", "energy"};
+  spec.retain_jobs = false;
+  spec.sample.cap = 4096;
+  spec.sample.mode = util::SamplePlan::Mode::kReservoir;
+  spec.sample.seed = 12345;
+  return spec;
+}
+
+TEST(SpecIoTest, EveryFieldIsPartOfTheKey) {
+  // Each edit changes one field (or switches one alternative) of
+  // full_spec(). Every variant must round-trip byte-identically, and no
+  // two variants may share a key: a field the writer forgets would let
+  // two different runs alias one cache entry.
+  using Edit = std::pair<const char*, std::function<void(RunSpec&)>>;
+  const auto clear_pm = [](RunSpec& s, const char* name) {
+    s.pm = pm::PmSpec{};
+    s.pm.name = name;
+  };
+  const std::vector<Edit> edits = {
+      {"none", [](RunSpec&) {}},
+      {"jobs", [](RunSpec& s) { s.workload.jobs += 1; }},
+      {"seed", [](RunSpec& s) { s.workload.seed += 1; }},
+      {"spec.name", [](RunSpec& s) { s.workload.spec.name += "x"; }},
+      {"spec.cpus", [](RunSpec& s) { s.workload.spec.cpus += 1; }},
+      {"spec.num_jobs", [](RunSpec& s) { s.workload.spec.num_jobs += 1; }},
+      {"load_target",
+       [](RunSpec& s) { s.workload.spec.arrival.load_target += 0.1; }},
+      {"burst_probability",
+       [](RunSpec& s) { s.workload.spec.arrival.burst_probability += 0.1; }},
+      {"burst_gap_mean",
+       [](RunSpec& s) { s.workload.spec.arrival.burst_gap_mean += 1.0; }},
+      {"daily_amplitude",
+       [](RunSpec& s) { s.workload.spec.arrival.daily_amplitude += 0.1; }},
+      {"peak_hour", [](RunSpec& s) { s.workload.spec.arrival.peak_hour += 1; }},
+      {"p_sequential",
+       [](RunSpec& s) { s.workload.spec.size.p_sequential += 0.1; }},
+      {"min_size", [](RunSpec& s) { s.workload.spec.size.min_size += 1; }},
+      {"max_size", [](RunSpec& s) { s.workload.spec.size.max_size += 1; }},
+      {"log2_mean", [](RunSpec& s) { s.workload.spec.size.log2_mean += 0.5; }},
+      {"log2_sigma",
+       [](RunSpec& s) { s.workload.spec.size.log2_sigma += 0.5; }},
+      {"p_power_of_two",
+       [](RunSpec& s) { s.workload.spec.size.p_power_of_two += 0.1; }},
+      {"runtime.weight",
+       [](RunSpec& s) { s.workload.spec.runtime.classes[1].weight += 0.1; }},
+      {"runtime.mu",
+       [](RunSpec& s) { s.workload.spec.runtime.classes[1].mu += 0.1; }},
+      {"runtime.sigma",
+       [](RunSpec& s) { s.workload.spec.runtime.classes[1].sigma += 0.1; }},
+      {"runtime.classes",
+       [](RunSpec& s) { s.workload.spec.runtime.classes.pop_back(); }},
+      {"min_runtime",
+       [](RunSpec& s) { s.workload.spec.runtime.min_runtime += 1; }},
+      {"max_runtime",
+       [](RunSpec& s) { s.workload.spec.runtime.max_runtime += 1; }},
+      {"p_exact", [](RunSpec& s) { s.workload.spec.estimate.p_exact += 0.1; }},
+      {"factor_mu",
+       [](RunSpec& s) { s.workload.spec.estimate.factor_mu += 0.1; }},
+      {"factor_sigma",
+       [](RunSpec& s) { s.workload.spec.estimate.factor_sigma += 0.1; }},
+      {"round_to_nice",
+       [](RunSpec& s) {
+         s.workload.spec.estimate.round_to_nice =
+             !s.workload.spec.estimate.round_to_nice;
+       }},
+      {"max_requested",
+       [](RunSpec& s) { s.workload.spec.estimate.max_requested += 1; }},
+      {"archive",
+       [](RunSpec& s) {
+         s.workload = wl::WorkloadSource::from_archive(wl::Archive::kSDSC, 250);
+       }},
+      {"archive.name",
+       [](RunSpec& s) {
+         s.workload = wl::WorkloadSource::from_archive(wl::Archive::kCTC, 250);
+       }},
+      {"swf",
+       [](RunSpec& s) {
+         s.workload = wl::WorkloadSource::from_swf("a.swf", 250, 128);
+       }},
+      {"swf.path",
+       [](RunSpec& s) {
+         s.workload = wl::WorkloadSource::from_swf("b.swf", 250, 128);
+       }},
+      {"swf.cpus",
+       [](RunSpec& s) {
+         s.workload = wl::WorkloadSource::from_swf("a.swf", 250, 256);
+       }},
+      {"scale", [](RunSpec& s) { s.size_scale = 1.5; }},
+      {"policy.name", [](RunSpec& s) { s.policy.name = "conservative"; }},
+      {"selector", [](RunSpec& s) { s.policy.selector = "FirstFit"; }},
+      {"assigner", [](RunSpec& s) { s.policy.assigner.clear(); }},
+      {"dvfs", [](RunSpec& s) { s.policy.dvfs.reset(); }},
+      {"bsld_threshold", [](RunSpec& s) { s.policy.dvfs->bsld_threshold = 2; }},
+      {"wq NO", [](RunSpec& s) { s.policy.dvfs->wq_threshold.reset(); }},
+      {"wq", [](RunSpec& s) { s.policy.dvfs->wq_threshold = 17; }},
+      {"bsld_floor", [](RunSpec& s) { s.policy.dvfs->bsld_floor += 1; }},
+      {"wq_counts_self",
+       [](RunSpec& s) { s.policy.dvfs->wq_counts_self = true; }},
+      {"backfill_requires_bsld_at_top",
+       [](RunSpec& s) {
+         s.policy.dvfs->backfill_requires_bsld_at_top = false;
+       }},
+      {"raise", [](RunSpec& s) { s.policy.raise.reset(); }},
+      {"raise.queue_limit",
+       [](RunSpec& s) { s.policy.raise->queue_limit += 1; }},
+      {"raise.one_step", [](RunSpec& s) { s.policy.raise->one_step = true; }},
+      {"gears.frequency",
+       [](RunSpec& s) {
+         s.gears = cluster::GearSet({{1.0, 1.0}, {2.5, 1.25}, {3.0, 1.5}});
+       }},
+      {"gears.voltage",
+       [](RunSpec& s) {
+         s.gears = cluster::GearSet({{1.0, 1.0}, {2.0, 1.3}, {3.0, 1.5}});
+       }},
+      {"gears.count",
+       [](RunSpec& s) {
+         s.gears = cluster::GearSet({{1.0, 1.0}, {3.0, 1.5}});
+       }},
+      {"beta", [](RunSpec& s) { s.beta = 0.5; }},
+      {"activity_ratio", [](RunSpec& s) { s.power.activity_ratio += 0.5; }},
+      {"static_fraction_at_top",
+       [](RunSpec& s) { s.power.static_fraction_at_top += 0.05; }},
+      {"top_active_power_watts",
+       [](RunSpec& s) { s.power.top_active_power_watts += 5; }},
+      {"sleep.power_watts",
+       [](RunSpec& s) { s.power.sleep_states[1].power_watts = 1.0; }},
+      {"sleep.enter_after_s",
+       [](RunSpec& s) { s.power.sleep_states[1].enter_after_s += 1; }},
+      {"sleep.wake_latency_s",
+       [](RunSpec& s) { s.power.sleep_states[1].wake_latency_s += 1; }},
+      {"sleep.states", [](RunSpec& s) { s.power.sleep_states.pop_back(); }},
+      {"sleep ladder", [](RunSpec& s) { s.power.sleep_states.clear(); }},
+      {"per_job_beta.low", [](RunSpec& s) { s.per_job_beta->first = 0.3; }},
+      {"per_job_beta.high", [](RunSpec& s) { s.per_job_beta->second = 0.7; }},
+      {"per_job_beta", [](RunSpec& s) { s.per_job_beta.reset(); }},
+      {"pm.setpoint_watts", [](RunSpec& s) { s.pm.setpoint_watts = 1e5; }},
+      {"pm.cap_watts", [](RunSpec& s) { s.pm.cap_watts = 5e5; }},
+      {"pm.interval_s", [](RunSpec& s) { s.pm.interval_s = 60; }},
+      {"pm.gain", [](RunSpec& s) { s.pm.gain = 0.5; }},
+      {"pm cap-uniform",
+       [&](RunSpec& s) {
+         clear_pm(s, "cap-uniform");
+         s.pm.cap_watts = 4000.0;
+       }},
+      {"pm cap-proportional",
+       [&](RunSpec& s) {
+         clear_pm(s, "cap-proportional");
+         s.pm.cap_watts = 4000.0;
+       }},
+      {"pm sleep", [&](RunSpec& s) { clear_pm(s, "sleep"); }},
+      {"pm none", [&](RunSpec& s) { clear_pm(s, "none"); }},
+      {"instruments", [](RunSpec& s) { s.instruments.pop_back(); }},
+      {"instruments order",
+       [](RunSpec& s) { s.instruments = {"energy", "wait-trace"}; }},
+      {"retain_jobs", [](RunSpec& s) { s.retain_jobs = true; }},
+      {"sample.cap", [](RunSpec& s) { s.sample.cap += 1; }},
+      {"sample.mode",
+       [](RunSpec& s) { s.sample.mode = util::SamplePlan::Mode::kDecimate; }},
+      {"sample.seed", [](RunSpec& s) { s.sample.seed += 1; }},
+  };
+  std::map<std::string, std::string> owner;  // key -> edit that made it
+  for (const auto& [name, edit] : edits) {
+    SCOPED_TRACE(name);
+    RunSpec spec = full_spec();
+    edit(spec);
+    const std::string text = spec.to_config().to_string();
+    const RunSpec parsed = RunSpec::parse(util::Config::parse(text));
+    EXPECT_EQ(parsed, spec) << text;
+    EXPECT_EQ(parsed.to_config().to_string(), text);
+    const auto [at, fresh] = owner.emplace(spec.key(), name);
+    EXPECT_TRUE(fresh) << "shares its key with `" << at->second << "`";
   }
 }
 

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace bsld::util {
@@ -99,12 +105,117 @@ TEST(ConfigTest, RoundTripThroughToString) {
   config.set("b.key", "2");
   config.set("a.key", "1");
   const Config reparsed = Config::parse(config.to_string());
-  EXPECT_EQ(reparsed.keys(), config.keys());
+  EXPECT_EQ(reparsed.to_string(), config.to_string());
   EXPECT_EQ(reparsed.get_int("a.key", 0), 1);
 }
 
 TEST(ConfigTest, MissingFileThrows) {
   EXPECT_THROW((void)Config::load_file("/nonexistent/path/x.conf"), Error);
+}
+
+/// One field of every ConfigCodec form.
+struct Sample {
+  enum class Shape { kRound, kSquare };
+  struct Row {
+    double weight = 0.0;
+    std::int64_t seconds = 0;
+    friend bool operator==(const Row&, const Row&) = default;
+  };
+
+  std::string name = "n";
+  double ratio = 0.5;
+  bool on = true;
+  std::int64_t count = 7;
+  std::int32_t size = 3;
+  std::uint64_t seed = 0;
+  std::vector<std::int64_t> counts = {1, 2};
+  std::vector<std::string> tags;
+  std::optional<double> cap;
+  Shape shape = Shape::kRound;
+  std::vector<Row> rows = {{0.5, 10}};
+  std::vector<Row> ladder;
+
+  friend bool operator==(const Sample&, const Sample&) = default;
+};
+
+void bind_config(ConfigCodec& codec, Sample& s) {
+  codec.field("name", s.name);
+  codec.field("ratio", s.ratio);
+  codec.field("on", s.on);
+  codec.field("count", s.count);
+  codec.field("size", s.size);
+  codec.field("seed", s.seed);
+  codec.field("counts", s.counts);
+  codec.non_default("tags", s.tags, {});
+  codec.optional("cap", s.cap);
+  codec.choice("shape", s.shape,
+               {{"round", Sample::Shape::kRound},
+                {"square", Sample::Shape::kSquare}});
+  codec.columns({"rows.weight", "rows.seconds"}, s.rows, &Sample::Row::weight,
+                &Sample::Row::seconds);
+  codec.optional_columns({"ladder.weight", "ladder.seconds"}, s.ladder,
+                         &Sample::Row::weight, &Sample::Row::seconds);
+}
+
+std::string error_of(const std::string& text, bool require_all = false) {
+  try {
+    const Config config = Config::parse(text);
+    ConfigCodec codec = ConfigCodec::reader(config, require_all);
+    Sample sample;
+    bind_config(codec, sample);
+  } catch (const Error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(ConfigCodecTest, WriterRendersCanonicalTextAndReaderRestoresIt) {
+  EXPECT_EQ(write_config(Sample{}).to_string(),
+            "count = 7\ncounts = 1, 2\nname = n\non = true\nratio = 0.5\n"
+            "rows.seconds = 10\nrows.weight = 0.5\nseed = 0\n"
+            "shape = round\nsize = 3\n");
+  Sample sample;
+  sample.ratio = 0.1;
+  sample.seed = std::numeric_limits<std::uint64_t>::max();
+  sample.size = std::numeric_limits<std::int32_t>::min();
+  sample.tags = {"a", "b"};
+  sample.cap = 4.5;
+  sample.shape = Sample::Shape::kSquare;
+  sample.rows = {{1.5, 60}, {0.25, 600}};
+  sample.ladder = {{2.0, 30}};
+  const Config config = write_config(sample);
+  EXPECT_EQ(read_config<Sample>(config), sample) << config.to_string();
+  EXPECT_EQ(write_config(read_config<Sample>(config)).to_string(),
+            config.to_string());
+}
+
+TEST(ConfigCodecTest, AbsentKeysKeepTheirFields) {
+  Sample expected;
+  expected.ratio = 2.0;
+  expected.rows = {{4.0, 10}};  // the absent column keeps its values.
+  EXPECT_EQ(read_config<Sample>(
+                Config::parse("ratio = 2\nrows.weight = 4\n")),
+            expected);
+  EXPECT_EQ(read_config<Sample>(Config{}), Sample{});
+}
+
+TEST(ConfigCodecTest, MalformedOrMissingValuesNameTheKey) {
+  EXPECT_NE(error_of("size = 2147483648\n").find("`size`"), std::string::npos);
+  EXPECT_NE(error_of("seed = -1\n").find("`seed`"), std::string::npos);
+  EXPECT_NE(error_of("counts = 1, x\n").find("`counts`"), std::string::npos);
+  EXPECT_NE(error_of("shape = oval\n").find("round, square"),
+            std::string::npos);
+  EXPECT_NE(error_of("rows.weight = 1, 2\n").find("differ in length"),
+            std::string::npos);
+  EXPECT_NE(error_of("ladder.weight = 1\n").find("given together"),
+            std::string::npos);
+  EXPECT_NE(error_of("ladder.weight =\nladder.seconds =\n").find("empty"),
+            std::string::npos);
+  // A strict reader (the result cache's) treats an absent key as an error.
+  const std::string written = write_config(Sample{}).to_string();
+  EXPECT_EQ(error_of(written, /*require_all=*/true), "");
+  EXPECT_NE(error_of("name = n\n", /*require_all=*/true).find("missing key"),
+            std::string::npos);
 }
 
 }  // namespace

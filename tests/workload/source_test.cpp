@@ -137,13 +137,11 @@ TEST(WorkloadSourceConfigTest, RoundTripsEveryKind) {
       WorkloadSource::from_spec(spec, 11),
   };
   for (const WorkloadSource& source : sources) {
-    util::Config config;
-    source_to_config(source, config);
-    const WorkloadSource parsed = source_from_config(config);
+    const util::Config config = util::write_config(source);
+    const WorkloadSource parsed = util::read_config<WorkloadSource>(config);
     EXPECT_EQ(parsed, source);
     // Re-serialization is byte-identical.
-    util::Config again;
-    source_to_config(parsed, again);
+    const util::Config again = util::write_config(parsed);
     EXPECT_EQ(again.to_string(), config.to_string());
   }
 }
@@ -153,14 +151,13 @@ TEST(WorkloadSourceConfigTest, FullRangeSeedsRoundTrip) {
   // (e.g. a CLI `--seed -1` wraps to 2^64 - 1).
   WorkloadSource source = WorkloadSource::from_archive(
       Archive::kCTC, 100, std::numeric_limits<std::uint64_t>::max());
-  util::Config config;
-  source_to_config(source, config);
+  const util::Config config = util::write_config(source);
   EXPECT_EQ(config.get_string("workload.seed", ""), "18446744073709551615");
-  EXPECT_EQ(source_from_config(config), source);
+  EXPECT_EQ(util::read_config<WorkloadSource>(config), source);
 
   util::Config bad;
   bad.set("workload.seed", "not-a-seed");
-  EXPECT_THROW((void)source_from_config(bad), Error);
+  EXPECT_THROW((void)util::read_config<WorkloadSource>(bad), Error);
 }
 
 TEST(WorkloadSourceTest, ResolveSourceArchiveIgnoresWholeFileJobs) {
@@ -177,24 +174,24 @@ TEST(WorkloadSourceConfigTest, JobsDefaultMatchesTheFactories) {
   util::Config archive;
   archive.set("workload.source", "archive");
   archive.set("workload.archive", "CTC");
-  EXPECT_EQ(source_from_config(archive).jobs, 5000);
+  EXPECT_EQ(util::read_config<WorkloadSource>(archive).jobs, 5000);
 
   util::Config swf;
   swf.set("workload.source", "swf");
   swf.set("workload.path", "trace.swf");
-  EXPECT_EQ(source_from_config(swf).jobs, 0);
+  EXPECT_EQ(util::read_config<WorkloadSource>(swf).jobs, 0);
 }
 
 TEST(WorkloadSourceConfigTest, UnknownKindThrows) {
   util::Config config;
   config.set("workload.source", "sql");
-  EXPECT_THROW((void)source_from_config(config), Error);
+  EXPECT_THROW((void)util::read_config<WorkloadSource>(config), Error);
 }
 
 TEST(WorkloadSourceConfigTest, SwfWithoutPathThrows) {
   util::Config config;
   config.set("workload.source", "swf");
-  EXPECT_THROW((void)source_from_config(config), Error);
+  EXPECT_THROW((void)util::read_config<WorkloadSource>(config), Error);
 }
 
 }  // namespace
