@@ -43,9 +43,15 @@
 /// --cache-stats/--cache-clear/--cache-trim-mb/--absorb-cache are
 /// maintenance commands: they operate on the store and exit.
 ///
-/// With --spec, the file provides the baseline and explicitly-passed flags
-/// override it; --save-spec writes the effective spec in its canonical
-/// round-trippable form (see RunSpec::to_config).
+/// Each single-run flag sets spec keys (the kSpecFlags table): the flags
+/// the user gave are layered onto the --spec file, or without one onto the
+/// flag defaults, and the result is read once by RunSpec::parse. A key a
+/// given flag sets that the spec does not read is an error naming the flag
+/// (--bsld or --wq under --dvfs false, or over a no-DVFS --spec file
+/// without --dvfs true). --workload, --platform and --raise replace their
+/// whole key group; --dvfs false drops the DVFS keys. --save-spec writes
+/// the effective spec in its canonical round-trippable form (see
+/// RunSpec::to_config).
 ///
 /// Platform file keys (all optional):
 ///   gears.frequencies_ghz = 0.8, 1.1, 1.4, 1.7, 2.0, 2.3
@@ -65,7 +71,6 @@
 #include <sstream>
 
 #include "pm/registry.hpp"
-#include "pm/spec.hpp"
 #include "report/experiment.hpp"
 #include "report/grid.hpp"
 #include "report/result_cache.hpp"
@@ -112,7 +117,9 @@ std::unique_ptr<report::ResultCache> open_cache(const util::Cli& cli) {
 std::vector<std::string> split_list(const std::string& text) {
   util::Config list;
   list.set("items", text);
-  return list.get_string_list("items", {});
+  std::vector<std::string> items;
+  util::ConfigCodec::reader(list).field("items", items);
+  return items;
 }
 
 /// --merge-shards: folds shard CSV/JSONL outputs into the serial result
@@ -320,117 +327,163 @@ void print_registry(
   }
 }
 
-/// Every single-run flag spec_from_flags() consults. Query mode decides
-/// with this same table whether explicit flags must be layered over a
-/// --spec file — add any new spec-affecting flag HERE (and nowhere else)
-/// or `bsldsim query --spec f.conf --newflag ...` will silently drop it.
-constexpr const char* kSpecFlags[] = {
-    "workload", "jobs",        "seed",        "platform",    "policy",
-    "selector", "dvfs",        "bsld",        "wq",          "raise",
-    "scale",    "instruments", "retain-jobs", "pm",          "pm-cap",
-    "pm-setpoint",             "pm-interval", "pm-gain"};
+/// How a single-run flag lands on the spec config.
+enum class Sets {
+  kKey,                ///< `key` takes the flag's text.
+  kKeyUnlessNegative,  ///< `group` (or `key`) goes; a value >= 0 sets `key`.
+  kDvfs,               ///< `key`; false also drops the DVFS keys.
+  kWorkload,           ///< The `workload.*` group of wl::resolve_source.
+  kPlatform,           ///< The file's gears.*, power.* and time.beta keys.
+};
 
-/// The effective RunSpec of the single-run flags: the --spec file (when
-/// given) as the baseline, explicitly-passed flags layered on top (every
-/// flag consulted here is listed in kSpecFlags). Validates instrument
-/// names before anyone persists or ships the spec.
+/// A single-run flag: its registration and the spec keys it sets.
+struct SpecFlag {
+  const char* name;
+  const char* fallback;
+  const char* help;
+  Sets sets;
+  const char* key;
+  const char* group = nullptr;
+};
+
+/// Every single-run flag, in layering order: --jobs and --seed before
+/// --workload (which sizes its trace with them), --dvfs before the
+/// thresholds it switches.
+const SpecFlag kSpecFlags[] = {
+    {"jobs", "5000", "trace length (0 = whole SWF file)", Sets::kKey,
+     "workload.jobs"},
+    {"seed", "0",
+     "generator seed for synthetic workloads (0 = the archive's canonical "
+     "seed)",
+     Sets::kKey, "workload.seed"},
+    {"workload", "SDSCBlue",
+     "archive model (CTC/SDSC/SDSCBlue/LLNLThunder/LLNLAtlas) or an SWF "
+     "file path",
+     Sets::kWorkload, "workload"},
+    {"platform", "", "platform config file (see header comment)",
+     Sets::kPlatform, nullptr},
+    {"policy", "easy",
+     "scheduling policy name (see core::PolicyRegistry): easy, fcfs, "
+     "conservative, easy+raise",
+     Sets::kKey, "policy.name"},
+    {"selector", "FirstFit", "resource selector: FirstFit, LastFit",
+     Sets::kKey, "policy.selector"},
+    {"dvfs", "true", "apply the BSLD-threshold DVFS algorithm", Sets::kDvfs,
+     "policy.dvfs"},
+    {"bsld", "2.0", "BSLDthreshold", Sets::kKey, "policy.bsld_threshold"},
+    {"wq", "NO", "WQthreshold: integer or NO (no limit)", Sets::kKey,
+     "policy.wq_threshold"},
+    {"raise", "-1",
+     "dynamic-raise queue limit (-1 = off; extension, easy only)",
+     Sets::kKeyUnlessNegative, "policy.raise.queue_limit", "policy.raise"},
+    {"scale", "1.0", "machine size multiplier (1.2 = +20%)", Sets::kKey,
+     "scale"},
+    {"pm", "none",
+     "power manager name (see --list-pms): none, cap-uniform, "
+     "cap-proportional, sleep, setpoint",
+     Sets::kKey, "pm"},
+    {"pm-cap", "-1",
+     "cluster power cap in watts (cap-* families; optional hard cap for "
+     "setpoint; -1 = unset)",
+     Sets::kKeyUnlessNegative, "pm.cap_watts"},
+    {"pm-setpoint", "-1",
+     "target cluster power in watts for --pm setpoint (-1 = unset)",
+     Sets::kKeyUnlessNegative, "pm.setpoint_watts"},
+    {"pm-interval", "-1",
+     "setpoint control interval in seconds (-1 = default 300)",
+     Sets::kKeyUnlessNegative, "pm.interval_s"},
+    {"pm-gain", "-1", "setpoint integral gain (-1 = default 0.5)",
+     Sets::kKeyUnlessNegative, "pm.gain"},
+    {"instruments", "",
+     "comma-separated extra instruments (see --list-instruments), e.g. "
+     "wait-trace,utilization",
+     Sets::kKey, "instruments"},
+    {"retain-jobs", "true",
+     "keep per-job outcomes in memory; false = streaming aggregate-only run "
+     "(O(1) memory, disables --out)",
+     Sets::kKey, "retain_jobs"},
+};
+
+/// Layers `flag` with `value` onto `config`; the keys it sets carry
+/// `origin`, so an error about one of them names the flag.
+void layer(util::Config& config, const SpecFlag& flag,
+           const std::string& value, const std::string& origin) {
+  switch (flag.sets) {
+    case Sets::kKey:
+      config.set(flag.key, value, origin);
+      return;
+    case Sets::kKeyUnlessNegative: {
+      const std::string what = std::string("Cli: flag --") + flag.name;
+      config.erase(flag.group != nullptr ? flag.group : flag.key);
+      if (util::require_double(value, what) >= 0.0) {
+        config.set(flag.key, value, origin);
+      }
+      return;
+    }
+    case Sets::kDvfs: {
+      config.set(flag.key, value, origin);
+      bool on = true;
+      util::ConfigCodec::reader(config).field(flag.key, on);
+      if (on) return;
+      for (const char* key :
+           {"policy.bsld_threshold", "policy.wq_threshold", "policy.bsld_floor",
+            "policy.wq_counts_self", "policy.backfill_requires_bsld_at_top"}) {
+        config.erase(key);
+      }
+      return;
+    }
+    case Sets::kWorkload: {
+      const auto current = util::read_config<wl::WorkloadSource>(config);
+      config.erase(flag.key);
+      config.merge(util::write_config(
+                       wl::resolve_source(value, current.jobs, current.seed)),
+                   origin);
+      return;
+    }
+    case Sets::kPlatform: {
+      if (value.empty()) return;
+      const util::Config platform = util::Config::load_file(value);
+      util::Config other = platform;
+      for (const char* group : {"gears", "power", "time.beta"}) {
+        other.erase(group);
+      }
+      BSLD_REQUIRE(other.to_string().empty(),
+                   "bsldsim: --platform file `" + value +
+                       "` holds keys that are not platform keys:\n" +
+                       other.to_string());
+      config.erase("gears");
+      config.erase("power");
+      config.merge(platform, origin);
+      return;
+    }
+  }
+}
+
+/// The effective RunSpec of the single-run flags: the --spec file, or
+/// without one the flag defaults, with the flags the user gave layered on
+/// top and the result parsed once. A key that a given flag sets and the
+/// spec does not read (--bsld under --dvfs false) is an error naming the
+/// flag; the defaults never are.
 report::RunSpec spec_from_flags(const util::Cli& cli) {
   const bool from_file = !cli.get("spec").empty();
-  report::RunSpec spec =
-      from_file
-          ? report::RunSpec::parse(util::Config::load_file(cli.get("spec")))
-          : report::RunSpec{};
-  // A flag applies when explicitly passed, or always in the no-file mode
-  // (where the registered defaults are the baseline).
-  const auto overrides = [&](const char* flag) {
-    return !from_file || cli.given(flag);
-  };
-
-  if (overrides("workload")) {
-    spec.workload = wl::resolve_source(
-        cli.get("workload"),
-        overrides("jobs") ? cli.get_int("jobs") : spec.workload.jobs,
-        overrides("seed") ? static_cast<std::uint64_t>(cli.get_int("seed"))
-                          : spec.workload.seed);
+  util::Config config;
+  if (from_file) {
+    config = util::Config::load_file(cli.get("spec"));
   } else {
-    if (overrides("jobs")) {
-      spec.workload.jobs = cli.get_int("jobs");
-    }
-    if (overrides("seed")) {
-      spec.workload.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+    for (const SpecFlag& flag : kSpecFlags) {
+      layer(config, flag, flag.fallback, "");
     }
   }
-  if (overrides("platform") && !cli.get("platform").empty()) {
-    const util::Config platform = util::Config::load_file(cli.get("platform"));
-    spec.gears = util::read_config(platform, cluster::paper_gear_set());
-    spec.power = util::read_config<power::PowerModelConfig>(platform);
-    util::ConfigCodec::reader(platform).field("time.beta", spec.beta);
-  }
-  if (overrides("policy")) spec.policy.name = cli.get("policy");
-  if (overrides("selector")) spec.policy.selector = cli.get("selector");
-  if (overrides("dvfs") || overrides("bsld") || overrides("wq")) {
-    // --bsld/--wq refine an existing DVFS config; only --dvfs switches the
-    // algorithm on or off relative to the spec baseline.
-    const bool dvfs_on = overrides("dvfs") ? cli.get_bool("dvfs")
-                                           : spec.policy.dvfs.has_value();
-    if (dvfs_on) {
-      core::DvfsConfig dvfs = spec.policy.dvfs.value_or(core::DvfsConfig{});
-      if (overrides("bsld")) dvfs.bsld_threshold = cli.get_double("bsld");
-      if (overrides("wq")) {
-        if (cli.get("wq") == "NO") dvfs.wq_threshold = std::nullopt;
-        else dvfs.wq_threshold = cli.get_int("wq");
-      }
-      spec.policy.dvfs = dvfs;
-    } else {
-      spec.policy.dvfs = std::nullopt;
+  for (const SpecFlag& flag : kSpecFlags) {
+    const bool given = cli.given(flag.name);
+    // Without a spec file the flags are the whole spec: the workload is
+    // always resolved from --workload, --jobs and --seed.
+    if (given || (!from_file && flag.sets == Sets::kWorkload)) {
+      layer(config, flag, cli.get(flag.name),
+            given ? "--" + std::string(flag.name) : "");
     }
   }
-  if (overrides("raise")) {
-    if (cli.get_int("raise") >= 0) {
-      core::DynamicRaiseConfig raise;
-      raise.queue_limit = cli.get_int("raise");
-      spec.policy.raise = raise;
-    } else {
-      spec.policy.raise = std::nullopt;
-    }
-  }
-  if (overrides("scale")) spec.size_scale = cli.get_double("scale");
-  if (overrides("pm")) spec.pm.name = cli.get("pm");
-  // The pm tunables use -1 = unset, so the registered defaults reproduce
-  // the default PmSpec (all optionals empty) in the no-file mode.
-  if (overrides("pm-cap")) {
-    const double watts = cli.get_double("pm-cap");
-    spec.pm.cap_watts =
-        watts >= 0.0 ? std::optional<double>(watts) : std::nullopt;
-  }
-  if (overrides("pm-setpoint")) {
-    const double watts = cli.get_double("pm-setpoint");
-    spec.pm.setpoint_watts =
-        watts >= 0.0 ? std::optional<double>(watts) : std::nullopt;
-  }
-  if (overrides("pm-interval")) {
-    const std::int64_t seconds = cli.get_int("pm-interval");
-    spec.pm.interval_s =
-        seconds >= 0 ? std::optional<Time>(seconds) : std::nullopt;
-  }
-  if (overrides("pm-gain")) {
-    const double gain = cli.get_double("pm-gain");
-    spec.pm.gain = gain >= 0.0 ? std::optional<double>(gain) : std::nullopt;
-  }
-  // Same rationale as the instrument check below: fail before --save-spec
-  // can persist an unreplayable spec.
-  pm::validate(spec.pm);
-  if (overrides("instruments")) {
-    // Same trimming/splitting as the `instruments` spec-file key.
-    spec.instruments = split_list(cli.get("instruments"));
-  }
-  // Validate before --save-spec so a typo cannot persist an unreplayable
-  // spec file; the registry error lists what is registered.
-  for (const std::string& name : spec.instruments) {
-    sim::InstrumentRegistry::global().require(name);
-  }
-  if (overrides("retain-jobs")) spec.retain_jobs = cli.get_bool("retain-jobs");
-  return spec;
+  return report::RunSpec::parse(config);
 }
 
 // --- Daemon mode -----------------------------------------------------------
@@ -501,10 +554,9 @@ int run_query(const util::Cli& cli) {
     // direct mode; only a flag-less --spec/--sweep ships the file bytes
     // verbatim (so the server's parse diagnostics are exercised end to
     // end). --sweep grids ignore single-run flags, as in direct mode.
-    bool spec_flag_given = false;
-    for (const char* flag : kSpecFlags) {
-      if (cli.given(flag)) spec_flag_given = true;
-    }
+    const bool spec_flag_given =
+        std::any_of(std::begin(kSpecFlags), std::end(kSpecFlags),
+                    [&](const SpecFlag& flag) { return cli.given(flag.name); });
     std::string body;
     if (!cli.get("sweep").empty() ||
         (!cli.get("spec").empty() && !spec_flag_given)) {
@@ -551,46 +603,13 @@ int main(int argc, char** argv) try {
   cli.add_flag("spec", "", "run-spec file; other flags override its values");
   cli.add_flag("save-spec", "",
                "write the effective spec to this file and continue");
-  cli.add_flag("workload", "SDSCBlue",
-               "archive model (CTC/SDSC/SDSCBlue/LLNLThunder/LLNLAtlas) or "
-               "an SWF file path");
-  cli.add_flag("jobs", "5000", "trace length (0 = whole SWF file)");
-  cli.add_flag("seed", "0",
-               "generator seed for synthetic workloads (0 = the archive's "
-               "canonical seed)");
-  cli.add_flag("platform", "", "platform config file (see header comment)");
-  cli.add_flag("policy", "easy",
-               "scheduling policy name (see core::PolicyRegistry): easy, "
-               "fcfs, conservative, easy+raise");
-  cli.add_flag("selector", "FirstFit", "resource selector: FirstFit, LastFit");
-  cli.add_flag("dvfs", "true", "apply the BSLD-threshold DVFS algorithm");
-  cli.add_flag("bsld", "2.0", "BSLDthreshold");
-  cli.add_flag("wq", "NO", "WQthreshold: integer or NO (no limit)");
-  cli.add_flag("raise", "-1",
-               "dynamic-raise queue limit (-1 = off; extension, easy only)");
-  cli.add_flag("scale", "1.0", "machine size multiplier (1.2 = +20%)");
-  cli.add_flag("pm", "none",
-               "power manager name (see --list-pms): none, cap-uniform, "
-               "cap-proportional, sleep, setpoint");
-  cli.add_flag("pm-cap", "-1",
-               "cluster power cap in watts (cap-* families; optional hard "
-               "cap for setpoint; -1 = unset)");
-  cli.add_flag("pm-setpoint", "-1",
-               "target cluster power in watts for --pm setpoint (-1 = unset)");
-  cli.add_flag("pm-interval", "-1",
-               "setpoint control interval in seconds (-1 = default 300)");
-  cli.add_flag("pm-gain", "-1",
-               "setpoint integral gain (-1 = default 0.5)");
+  for (const SpecFlag& flag : kSpecFlags) {
+    cli.add_flag(flag.name, flag.fallback, flag.help);
+  }
   cli.add_flag("out", "", "write per-job outcomes to this CSV file");
-  cli.add_flag("instruments", "",
-               "comma-separated extra instruments (see --list-instruments), "
-               "e.g. wait-trace,utilization");
   cli.add_flag("instruments-out", "",
                "write each instrument's CSV to <dir>/<name>.csv instead of "
                "printing a summary");
-  cli.add_flag("retain-jobs", "true",
-               "keep per-job outcomes in memory; false = streaming "
-               "aggregate-only run (O(1) memory, disables --out)");
   cli.add_flag("format", "table",
                "result output format: table, csv, or jsonl");
   cli.add_flag("list-policies", "false",

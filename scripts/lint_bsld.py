@@ -34,13 +34,12 @@ can express, over src/, tests/, examples/ and bench/:
                    through the row/CSV writers. The CLI/daemon entry
                    points that legitimately own stdout/stderr carry a
                    suppression naming that fact.
-  config-one-way   src/ outside src/util/config.* and src/report/grid.cpp
-                   must not call the util::Config getters (get_string,
-                   get_double, get_int, get_bool, get_*_list): serialized
-                   values read and write their keys through one
-                   util::ConfigCodec function, so a key cannot be read
-                   without being written. grid.cpp's `sweep.*` axes are
-                   read-only by design.
+  config-one-way   src/ outside src/util/config.* must not call the
+                   util::Config getters (get_string, get_double, get_int,
+                   get_bool, get_*_list): serialized values read and
+                   write their keys through one util::ConfigCodec
+                   function, so a key cannot be read without being
+                   written.
   eager-ingest     src/ outside src/workload (where it is defined) must
                    not call wl::load_source(): every execution path pulls
                    jobs through wl::open_stream()/JobStream one submit
@@ -120,8 +119,7 @@ IOSTREAM_RE = re.compile(r'^\s*#\s*include\s*[<"]iostream[>"]')
 TSA_ESCAPE = "BSLD_NO_THREAD_SAFETY_ANALYSIS"
 CONFIG_GETTER_RE = re.compile(
     r"(?:\.|->)(get_(?:string|double|int|bool)(?:_list)?)\s*\(")
-CONFIG_GETTER_EXEMPT = ("src/util/config.hpp", "src/util/config.cpp",
-                        "src/report/grid.cpp")
+CONFIG_GETTER_EXEMPT = ("src/util/config.hpp", "src/util/config.cpp")
 EAGER_INGEST_RE = re.compile(r"(?<![\w:])(?:wl::|workload::)?load_source\s*\(")
 
 
@@ -329,8 +327,7 @@ RULES = {
                  "util::log; entry points suppress with a reason)"),
     "config-one-way": (rule_config_one_way,
                        "util::Config getters in src/ outside util/config.* "
-                       "and report/grid.cpp — keys go through one "
-                       "util::ConfigCodec function"),
+                       "— keys go through one util::ConfigCodec function"),
     "eager-ingest": (rule_eager_ingest,
                      "wl::load_source() call sites in src/ outside "
                      "src/workload — every run ingests jobs through the "

@@ -99,8 +99,9 @@ void bind_config(util::ConfigCodec& codec, PolicySpec& spec) {
     if (wq == "NO") {
       dvfs.wq_threshold.reset();
     } else if (codec.reading()) {
-      dvfs.wq_threshold =
-          util::require_int(wq, "Config: key `policy.wq_threshold`");
+      dvfs.wq_threshold = util::parse_int(wq);
+      codec.check(dvfs.wq_threshold >= 0, "policy.wq_threshold",
+                  "expects a non-negative integer or NO, got `" + wq + "`");
     }
     codec.field("policy.bsld_floor", dvfs.bsld_floor);
     codec.field("policy.wq_counts_self", dvfs.wq_counts_self);
@@ -114,6 +115,7 @@ void bind_config(util::ConfigCodec& codec, PolicySpec& spec) {
   if (spec.raise) queue_limit = spec.raise->queue_limit;
   codec.optional("policy.raise.queue_limit", queue_limit);
   if (queue_limit) {
+    codec.check(*queue_limit >= 0, "policy.raise.queue_limit", "must be >= 0");
     DynamicRaiseConfig raise = spec.raise.value_or(DynamicRaiseConfig{});
     raise.queue_limit = *queue_limit;
     codec.field("policy.raise.one_step", raise.one_step);

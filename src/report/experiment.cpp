@@ -47,6 +47,7 @@ void bind_config(util::ConfigCodec& codec, RunSpec& spec) {
                   {"reservoir", Mode::kReservoir}});
   }
   codec.non_default("sample.seed", spec.sample.seed, std::uint64_t{0});
+  if (codec.reading()) codec.reject_unread();  // a whole spec: no stray keys.
 }
 
 RunSpec RunSpec::parse(const util::Config& config) {

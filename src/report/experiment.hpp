@@ -75,7 +75,7 @@ struct RunSpec {
 
   /// Reads a spec from its serialized form. Accepts partial configs —
   /// missing keys keep their defaults. Throws bsld::Error on unknown
-  /// workload kinds, archive names, or unregistered policy names.
+  /// workload kinds, archive names, policy names, bad values or unread keys.
   static RunSpec parse(const util::Config& config);
 
   /// Canonical serialized form: parse(to_config()) == *this (up to the
@@ -126,7 +126,8 @@ struct RunSpec {
 
 /// Every RunSpec key (util::ConfigCodec), through the codecs of its parts;
 /// optional fields are written only when set or not the default. Reading
-/// also checks instrument names and drops a legacy `stream` key.
+/// also checks instrument names, drops a legacy `stream` key and fails on
+/// a key it did not read.
 void bind_config(util::ConfigCodec& codec, RunSpec& spec);
 
 /// Spec + everything the run produced.

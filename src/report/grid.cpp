@@ -1,9 +1,8 @@
 #include "report/grid.hpp"
 
-#include <optional>
+#include <array>
 #include <string>
 
-#include "pm/registry.hpp"
 #include "util/error.hpp"
 #include "util/parse.hpp"
 #include "workload/source.hpp"
@@ -12,120 +11,84 @@ namespace bsld::report {
 
 namespace {
 
-std::optional<std::int64_t> parse_wq(const std::string& token) {
-  if (token == "NO") return std::nullopt;
-  const std::optional<std::int64_t> value = util::parse_int(token);
-  BSLD_REQUIRE(value.has_value() && *value >= 0,
-               "expand_grid: bad sweep.wq_thresholds item `" + token +
-                   "` (expect a non-negative integer or NO)");
-  return *value;
-}
+/// A sweep axis: its name, and the keys one of its items sets on a grid
+/// point, each tagged with the axis so errors about the key name it.
+struct Axis {
+  const char* name;
+  void (*set)(util::Config& point, const std::string& item, const char* axis);
+};
+
+/// The axes in grid order, outermost first.
+constexpr std::array<Axis, 6> kAxes = {{
+    // The whole workload group, keeping the base trace length and seed.
+    {"sweep.workloads",
+     [](util::Config& point, const std::string& item, const char* axis) {
+       const auto base = util::read_config<wl::WorkloadSource>(point);
+       point.erase("workload");
+       point.merge(util::write_config(
+                       wl::resolve_source(item, base.jobs, base.seed)),
+                   axis);
+     }},
+    // A threshold implies the DVFS algorithm; the other DVFS keys come
+    // from the base, as in a spec file.
+    {"sweep.bsld_thresholds",
+     [](util::Config& point, const std::string& item, const char* axis) {
+       point.set("policy.dvfs", "true", axis);
+       point.set("policy.bsld_threshold", item, axis);
+     }},
+    {"sweep.wq_thresholds",
+     [](util::Config& point, const std::string& item, const char* axis) {
+       point.set("policy.dvfs", "true", axis);
+       point.set("policy.wq_threshold", item, axis);
+     }},
+    {"sweep.scales",
+     [](util::Config& point, const std::string& item, const char* axis) {
+       point.set("scale", item, axis);
+     }},
+    {"sweep.pm",
+     [](util::Config& point, const std::string& item, const char* axis) {
+       point.set("pm", item, axis);
+     }},
+    // The watts go to the setpoint for "setpoint", to the hard cap for the
+    // other families, and nowhere for none/sleep (the specs then dedup).
+    {"sweep.pm_cap_watts",
+     [](util::Config& point, const std::string& item, const char* axis) {
+       BSLD_REQUIRE(util::parse_double(item) > 0.0,
+                    "expand_grid: sweep.pm_cap_watts items must be positive");
+       std::string family = "none";
+       util::ConfigCodec::reader(point).field("pm", family);
+       if (family == "setpoint") {
+         point.set("pm.setpoint_watts", item, axis);
+       } else if (family != "none" && family != "sleep") {
+         point.set("pm.cap_watts", item, axis);
+       }
+     }},
+}};
 
 }  // namespace
 
 std::vector<RunSpec> expand_grid(const util::Config& config) {
-  const RunSpec base = RunSpec::parse(config);
-  const std::vector<std::string> workloads =
-      config.get_string_list("sweep.workloads", {});
-  const std::vector<double> bslds =
-      config.get_double_list("sweep.bsld_thresholds", {});
-  const std::vector<std::string> wqs =
-      config.get_string_list("sweep.wq_thresholds", {});
-  const std::vector<double> scales = config.get_double_list("sweep.scales", {});
-  const std::vector<std::string> pms = config.get_string_list("sweep.pm", {});
-  const std::vector<double> pm_watts =
-      config.get_double_list("sweep.pm_cap_watts", {});
-
-  // Each absent axis contributes its base value once, so the cross-product
-  // below is uniform: workloads outermost, then BSLD, then WQ, then scale,
-  // then pm names, then pm watts innermost.
-  std::vector<wl::WorkloadSource> workload_axis;
-  if (workloads.empty()) {
-    workload_axis.push_back(base.workload);
-  } else {
-    for (const std::string& name : workloads) {
-      workload_axis.push_back(wl::resolve_source(name, base.workload.jobs,
-                                                 base.workload.seed));
-    }
+  std::array<std::vector<std::string>, kAxes.size()> items;
+  util::Config base = config;
+  util::ConfigCodec axes = util::ConfigCodec::reader(config);
+  for (std::size_t a = 0; a < kAxes.size(); ++a) {
+    axes.field(kAxes[a].name, items[a]);
+    base.erase(kAxes[a].name);
   }
-  std::vector<std::optional<double>> bsld_axis;
-  if (bslds.empty()) {
-    bsld_axis.push_back(std::nullopt);  // keep the base policy's DVFS state.
-  } else {
-    for (const double threshold : bslds) bsld_axis.push_back(threshold);
-  }
-  std::vector<std::optional<std::optional<std::int64_t>>> wq_axis;
-  if (wqs.empty()) {
-    wq_axis.push_back(std::nullopt);
-  } else {
-    for (const std::string& token : wqs) wq_axis.push_back(parse_wq(token));
-  }
-  std::vector<double> scale_axis =
-      scales.empty() ? std::vector<double>{base.size_scale} : scales;
-  std::vector<std::optional<std::string>> pm_axis;
-  if (pms.empty()) {
-    pm_axis.push_back(std::nullopt);  // keep the base spec's power manager.
-  } else {
-    for (const std::string& name : pms) {
-      pm::PowerManagerRegistry::global().require(name);
-      pm_axis.push_back(name);
-    }
-  }
-  std::vector<std::optional<double>> pm_watts_axis;
-  if (pm_watts.empty()) {
-    pm_watts_axis.push_back(std::nullopt);
-  } else {
-    for (const double watts : pm_watts) {
-      BSLD_REQUIRE(watts > 0.0,
-                   "expand_grid: sweep.pm_cap_watts items must be positive");
-      pm_watts_axis.push_back(watts);
-    }
-  }
-
+  // Every item of axis `a` crossed with the axes inside it; an absent axis
+  // sets nothing.
   std::vector<RunSpec> specs;
-  specs.reserve(workload_axis.size() * bsld_axis.size() * wq_axis.size() *
-                scale_axis.size() * pm_axis.size() * pm_watts_axis.size());
-  for (const wl::WorkloadSource& workload : workload_axis) {
-    for (const std::optional<double>& bsld : bsld_axis) {
-      for (const auto& wq : wq_axis) {
-        for (const double scale : scale_axis) {
-          for (const auto& pm_name : pm_axis) {
-            for (const auto& watts : pm_watts_axis) {
-              RunSpec spec = base;
-              spec.workload = workload;
-              if (bsld || wq) {
-                // A threshold axis implies the DVFS algorithm: refine the
-                // base DVFS config (or the default one when the base is a
-                // no-DVFS baseline).
-                core::DvfsConfig dvfs =
-                    spec.policy.dvfs.value_or(core::DvfsConfig{});
-                if (bsld) dvfs.bsld_threshold = *bsld;
-                if (wq) dvfs.wq_threshold = *wq;
-                spec.policy.dvfs = dvfs;
-              }
-              spec.size_scale = scale;
-              // The name axis keeps the base spec's tunables (interval,
-              // gain); the watts axis lands on the knob the named family
-              // regulates: the setpoint for "setpoint", the hard cap for
-              // the cap-* families. "none"/"sleep" take no watts, so the
-              // axis value is ignored there (SweepRunner deduplicates the
-              // resulting identical specs).
-              if (pm_name) spec.pm.name = *pm_name;
-              if (watts && spec.pm.name != "none" && spec.pm.name != "sleep") {
-                if (spec.pm.name == "setpoint") {
-                  spec.pm.setpoint_watts = *watts;
-                } else {
-                  spec.pm.cap_watts = *watts;
-                }
-              }
-              pm::validate(spec.pm);  // fail at expansion, not mid-sweep.
-              specs.push_back(std::move(spec));
-            }
-          }
-        }
-      }
+  const auto expand = [&](const auto& self, std::size_t a,
+                          const util::Config& point) -> void {
+    if (a == kAxes.size()) return specs.push_back(RunSpec::parse(point));
+    if (items[a].empty()) return self(self, a + 1, point);
+    for (const std::string& item : items[a]) {
+      util::Config next = point;
+      kAxes[a].set(next, item, kAxes[a].name);
+      self(self, a + 1, next);
     }
-  }
+  };
+  expand(expand, 0, base);
   return specs;
 }
 

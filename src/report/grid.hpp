@@ -15,9 +15,12 @@
 /// expand_grid() returns the full cross-product in a fixed, documented
 /// order — workloads outermost, then BSLD thresholds, then WQ thresholds,
 /// then scales, then pm names, then pm watts innermost — so a grid file
-/// denotes one exact spec sequence everywhere:
-/// the serial run, every shard of a sharded run, and any future re-run
-/// agree on grid indices. Axes left out inherit the base spec's value.
+/// denotes one exact spec sequence everywhere: the serial run, every shard
+/// of a sharded run, and any future re-run agree on grid indices. A point
+/// is the base config plus the keys its axis items set, read like a spec
+/// file: axes left out keep the base's value, a BSLD axis over a no-DVFS
+/// base has no WQ limit unless a key sets one, and an unread key
+/// (`sweep.bsld_threshold`) fails.
 /// This is the seam bsldsim --sweep consumes; paper figures keep their
 /// hand-built grids in figures.hpp.
 #pragma once
@@ -31,9 +34,8 @@ namespace bsld::report {
 
 /// Expands `config` into the cross-product of its sweep axes over its base
 /// spec. A config with no `sweep.*` keys yields exactly the base spec.
-/// Throws bsld::Error on unparseable axis values (e.g. a WQ threshold that
-/// is neither an integer nor "NO") — same failure surface as
-/// RunSpec::parse.
+/// Throws bsld::Error as RunSpec::parse does on the base or a grid point;
+/// an error about a key an axis set names the axis.
 std::vector<RunSpec> expand_grid(const util::Config& config);
 
 }  // namespace bsld::report

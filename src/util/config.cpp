@@ -1,5 +1,6 @@
 #include "util/config.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <sstream>
@@ -12,7 +13,7 @@ namespace bsld::util {
 
 namespace {
 
-/// The ", "-joined list form ("0.8, 1.1, 1.4") the list getters parse back
+/// The ", "-joined list form ("0.8, 1.1, 1.4") the list fields read back
 /// item for item.
 template <typename T, typename Render>
 std::string list_text(const std::vector<T>& values, Render render) {
@@ -36,7 +37,16 @@ std::vector<std::string> list_items(const std::string& text) {
   return items;
 }
 
-std::string what(const std::string& key) { return "Config: key `" + key + "`"; }
+/// Where a line's comment starts: its first `#` at the line start or
+/// after whitespace, or npos.
+std::size_t comment_start(const std::string& line) {
+  std::size_t at = line.find('#');
+  while (at != std::string::npos && at != 0 &&
+         !std::isspace(static_cast<unsigned char>(line[at - 1]))) {
+    at = line.find('#', at + 1);
+  }
+  return at;
+}
 
 }  // namespace
 
@@ -47,7 +57,7 @@ Config Config::parse(const std::string& text) {
   int line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    const auto comment = line.find('#');
+    const std::size_t comment = comment_start(line);
     if (comment != std::string::npos) line.erase(comment);
     const std::string trimmed(strip(line));
     if (trimmed.empty()) continue;
@@ -73,8 +83,22 @@ Config Config::load_file(const std::string& path) {
   return parse(*text);
 }
 
-void Config::set(const std::string& key, std::string value) {
+void Config::set(const std::string& key, std::string value,
+                 std::string origin) {
   values_[key] = std::move(value);
+  if (origin.empty()) origins_.erase(key);
+  else origins_[key] = std::move(origin);
+}
+
+void Config::erase(const std::string& key) {
+  const std::string below = key + '.';
+  std::erase_if(values_, [&](const auto& entry) {
+    return entry.first == key || entry.first.starts_with(below);
+  });
+}
+
+void Config::merge(const Config& other, const std::string& origin) {
+  for (const auto& [key, value] : other.values_) set(key, value, origin);
 }
 
 bool Config::contains(const std::string& key) const {
@@ -94,15 +118,45 @@ std::string Config::to_string() const {
   return os.str();
 }
 
-const std::string* ConfigCodec::find(const std::string& key) const {
+void ConfigCodec::check(bool ok, const std::string& key,
+                        const std::string& problem) const {
+  if (reading() && !ok) throw Error(what(key) + " " + problem);
+}
+
+void ConfigCodec::reject_unread() const {
+  for (const auto& [key, text] : in_->values_) {
+    if (std::find(read_.begin(), read_.end(), &text) == read_.end()) {
+      throw Error(what(key) + " is not read: misspelled, or moot here");
+    }
+  }
+}
+
+const std::string* ConfigCodec::find(const std::string& key) {
   const std::string* text = in_->raw(key);
   BSLD_REQUIRE(text != nullptr || !require_all_,
                "Config: missing key `" + key + "`");
+  if (text != nullptr) read_.push_back(text);
   return text;
 }
 
+void ConfigCodec::write(const std::string& key, std::string text) {
+  // No line break, surrounding whitespace or `#` that would start a comment.
+  BSLD_REQUIRE(text.find_first_of("\n\r") == std::string::npos &&
+                   strip(text).size() == text.size() &&
+                   comment_start(text) == std::string::npos,
+               "Config: key `" + key + "` value `" + text +
+                   "` would not read back as written");
+  out_->set(key, std::move(text));
+}
+
+std::string ConfigCodec::what(const std::string& key) const {
+  const auto origin = in_->origins_.find(key);
+  if (origin == in_->origins_.end()) return "Config: key `" + key + "`";
+  return "Config: " + origin->second + " (key `" + key + "`)";
+}
+
 void ConfigCodec::field(const std::string& key, std::string& value) {
-  if (!reading()) out_->set(key, value);
+  if (!reading()) write(key, value);
   else if (const std::string* text = find(key)) value = *text;
 }
 
@@ -185,7 +239,7 @@ void ConfigCodec::field(const std::string& key,
 void ConfigCodec::field(const std::string& key,
                         std::vector<std::string>& value) {
   const auto same = [](const std::string& item) { return item; };
-  if (!reading()) out_->set(key, list_text(value, same));
+  if (!reading()) write(key, list_text(value, same));
   else if (const std::string* text = find(key)) value = list_items(*text);
 }
 

@@ -3,8 +3,9 @@
 /// configuration files ("All the parameters are platform dependent and
 /// adjustable in configuration files", paper §4).
 ///
-/// File format: one `key = value` per line; `#` starts a comment; blank
-/// lines ignored. Keys are dot-separated identifiers (e.g. `power.beta`).
+/// File format: one `key = value` per line; blank lines ignored; a `#` at
+/// the line start or after whitespace starts a comment, so `p = tr#1.swf`
+/// keeps its `#`. Keys are dot-separated identifiers (e.g. `power.beta`).
 ///
 /// Serialized values (RunSpec and its parts, the result cache's `[sim]`
 /// section) go through ConfigCodec: each type has one
@@ -12,8 +13,9 @@
 /// runs in both directions. Reading, a field takes its key's value or
 /// stays unchanged when the key is absent; writing, it renders in the
 /// canonical text (config_double, std::to_string, `true`/`false`, `", "`
-/// lists). read_config/write_config run a type's codec, so its reader and
-/// writer cannot disagree on which keys exist.
+/// lists) and refuses text that would not read back. read_config and
+/// write_config run a type's codec, so its reader and writer cannot
+/// disagree on which keys exist.
 #pragma once
 
 #include <array>
@@ -31,7 +33,7 @@
 
 namespace bsld::util {
 
-/// Typed access over a string key/value map with defaults and validation.
+/// A string key/value map; ConfigCodec reads and writes its values.
 class Config {
  public:
   Config() = default;
@@ -44,41 +46,14 @@ class Config {
   /// file cannot be opened.
   static Config load_file(const std::string& path);
 
-  /// Sets or replaces a value.
-  void set(const std::string& key, std::string value);
+  /// Sets or replaces a value; reader errors name its `origin` (a flag).
+  void set(const std::string& key, std::string value, std::string origin = {});
+  /// Removes `key` and every key below it (`key.…`).
+  void erase(const std::string& key);
+  /// Sets every key of `other`, each with `origin`.
+  void merge(const Config& other, const std::string& origin = {});
 
   [[nodiscard]] bool contains(const std::string& key) const;
-
-  /// Typed getters returning `fallback` when the key is absent and throwing
-  /// bsld::Error when present but unparseable (ConfigCodec's reader forms).
-  [[nodiscard]] std::string get_string(const std::string& key,
-                                       std::string fallback) const {
-    return get(key, std::move(fallback));
-  }
-  [[nodiscard]] double get_double(const std::string& key,
-                                  double fallback) const {
-    return get(key, fallback);
-  }
-  [[nodiscard]] std::int64_t get_int(const std::string& key,
-                                     std::int64_t fallback) const {
-    return get(key, fallback);
-  }
-  [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const {
-    return get(key, fallback);
-  }
-
-  /// Parses a comma-separated list of doubles, e.g. "0.8, 1.1, 1.4".
-  [[nodiscard]] std::vector<double> get_double_list(
-      const std::string& key, std::vector<double> fallback) const {
-    return get(key, std::move(fallback));
-  }
-
-  /// Parses a comma-separated list of strings, e.g. "wait-trace, energy";
-  /// items are trimmed, empties dropped, order preserved.
-  [[nodiscard]] std::vector<std::string> get_string_list(
-      const std::string& key, std::vector<std::string> fallback) const {
-    return get(key, std::move(fallback));
-  }
 
   /// Serializes to the same `key = value` format parse() accepts.
   [[nodiscard]] std::string to_string() const;
@@ -86,12 +61,11 @@ class Config {
  private:
   friend class ConfigCodec;
 
-  template <typename T>
-  [[nodiscard]] T get(const std::string& key, T value) const;
   /// The key's value text, or nullptr when absent.
   [[nodiscard]] const std::string* raw(const std::string& key) const;
 
   std::map<std::string, std::string> values_;
+  std::map<std::string, std::string> origins_;  ///< Keys set with one.
 };
 
 /// Shortest decimal form of `value` that parses back to the identical
@@ -114,6 +88,11 @@ class ConfigCodec {
   }
 
   [[nodiscard]] bool reading() const { return in_ != nullptr; }
+
+  /// Reading: a bsld::Error naming `key` (and its origin) unless `ok`.
+  void check(bool ok, const std::string& key, const std::string& problem) const;
+  /// Reading: a bsld::Error naming a key of the config no field read.
+  void reject_unread() const;
 
   /// Scalar and list forms; the int32 form rejects values outside int32
   /// (util::narrow_int32) with a bsld::Error naming the key.
@@ -153,8 +132,7 @@ class ConfigCodec {
       }
       expected += (expected.empty() ? "" : ", ") + std::string(name);
     }
-    throw Error("Config: key `" + key + "` is `" + text + "`, expected " +
-                expected);
+    throw Error(what(key) + " is `" + text + "`, expected " + expected);
   }
 
   /// Written only when `value` differs from `fallback`, so an absent key
@@ -211,8 +189,12 @@ class ConfigCodec {
       : in_(in), out_(out), require_all_(require_all) {}
 
   /// Reading: the key's text, or nullptr when it is absent (a bsld::Error
-  /// under require_all).
-  [[nodiscard]] const std::string* find(const std::string& key) const;
+  /// under require_all). Records the key as read.
+  [[nodiscard]] const std::string* find(const std::string& key);
+  /// Writing: sets a free-text key, refusing text that would not read back.
+  void write(const std::string& key, std::string text);
+  /// Reading: "Config: key `K`", naming the key's origin if it has one.
+  [[nodiscard]] std::string what(const std::string& key) const;
 
   template <typename T>
   static T cell(double value) {
@@ -232,13 +214,8 @@ class ConfigCodec {
   const Config* in_;
   Config* out_;
   bool require_all_;
+  std::vector<const std::string*> read_;  ///< Every value find() found.
 };
-
-template <typename T>
-T Config::get(const std::string& key, T value) const {
-  ConfigCodec::reader(*this).field(key, value);
-  return value;
-}
 
 /// Runs T's codec (`bind_config(ConfigCodec&, T&)`, found by argument-
 /// dependent lookup) over a reader, starting from `value`.

@@ -5,10 +5,13 @@
 #include <algorithm>
 
 #include "core/easy.hpp"
+#include "testing/config_value.hpp"
 #include "util/error.hpp"
 
 namespace bsld::core {
 namespace {
+
+using testing::config_value;
 
 TEST(PolicySpecTest, ResolvedNames) {
   PolicySpec spec;
@@ -174,7 +177,7 @@ TEST(PolicyConfigTest, WqNoLimitSerializesAsNO) {
   dvfs.wq_threshold = std::nullopt;
   spec.dvfs = dvfs;
   const util::Config config = util::write_config(spec);
-  EXPECT_EQ(config.get_string("policy.wq_threshold", ""), "NO");
+  EXPECT_EQ(config_value<std::string>(config, "policy.wq_threshold", ""), "NO");
   const PolicySpec parsed = util::read_config<PolicySpec>(config);
   EXPECT_FALSE(parsed.dvfs->wq_threshold.has_value());
 }

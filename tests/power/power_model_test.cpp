@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/config_value.hpp"
 #include "util/error.hpp"
 
 namespace bsld::power {
 namespace {
+
+using testing::config_value;
 
 TEST(PowerModelTest, StaticShareAtTopIsCalibrated) {
   const PowerModel model(cluster::paper_gear_set());
@@ -97,9 +100,13 @@ TEST(PowerModelTest, SleepLadderRoundTripsThroughTheConfig) {
   PowerModelConfig config;
   config.sleep_states = {{10.0, 60, 1}, {2.0, 600, 30}};
   const util::Config written = util::write_config(config);
-  EXPECT_EQ(written.get_string("power.sleep.power_watts", ""), "10, 2");
-  EXPECT_EQ(written.get_string("power.sleep.enter_after_s", ""), "60, 600");
-  EXPECT_EQ(written.get_string("power.sleep.wake_latency_s", ""), "1, 30");
+  EXPECT_EQ(config_value<std::string>(written, "power.sleep.power_watts", ""),
+            "10, 2");
+  EXPECT_EQ(config_value<std::string>(written, "power.sleep.enter_after_s", ""),
+            "60, 600");
+  EXPECT_EQ(
+      config_value<std::string>(written, "power.sleep.wake_latency_s", ""),
+      "1, 30");
   EXPECT_EQ(util::read_config<PowerModelConfig>(written), config);
   // Without a ladder no power.sleep.* key is written.
   EXPECT_EQ(util::write_config(PowerModelConfig{}).to_string().find("sleep"),

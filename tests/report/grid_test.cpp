@@ -6,6 +6,7 @@
 #include <string>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace bsld::report {
 namespace {
@@ -147,6 +148,83 @@ TEST(GridTest, UnknownWorkloadNameSurfacesAsError) {
   ASSERT_EQ(specs.size(), 2u);
   EXPECT_EQ(specs[1].workload.kind, wl::WorkloadSource::Kind::kSwf);
   EXPECT_THROW((void)run_one(specs[1]), Error);
+}
+
+TEST(GridTest, ThresholdAxisOverANoDvfsBaseHasNoWqLimit) {
+  // A grid point reads like a spec file: `policy.dvfs = true` without
+  // `policy.wq_threshold` means no WQ limit.
+  util::Config config;
+  config.set("sweep.bsld_thresholds", "1.5, 2");
+  const std::vector<RunSpec> specs = expand_grid(config);
+  ASSERT_EQ(specs.size(), 2u);
+  for (const RunSpec& spec : specs) {
+    ASSERT_TRUE(spec.policy.dvfs.has_value());
+    EXPECT_FALSE(spec.policy.dvfs->wq_threshold.has_value());
+  }
+  // A base WQ threshold still applies to every point.
+  config.set("policy.wq_threshold", "16");
+  config.set("policy.dvfs", "true");
+  for (const RunSpec& spec : expand_grid(config)) {
+    EXPECT_EQ(spec.policy.dvfs->wq_threshold, 16);
+  }
+}
+
+/// The message of the bsld::Error expand_grid throws on `config`.
+std::string grid_error(const util::Config& config) {
+  try {
+    (void)expand_grid(config);
+  } catch (const Error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(GridTest, MisspelledAxisIsAnErrorNamingIt) {
+  util::Config config;
+  config.set("sweep.bsld_threshold", "1.5, 2");
+  EXPECT_NE(grid_error(config).find("`sweep.bsld_threshold`"),
+            std::string::npos);
+}
+
+TEST(GridTest, AxisValueErrorsNameTheAxis) {
+  util::Config wq;
+  wq.set("sweep.wq_thresholds", "4, -3");
+  EXPECT_NE(grid_error(wq).find("sweep.wq_thresholds"), std::string::npos);
+  util::Config bsld;
+  bsld.set("sweep.bsld_thresholds", "1.5, high");
+  EXPECT_NE(grid_error(bsld).find("sweep.bsld_thresholds"), std::string::npos);
+  util::Config watts;
+  watts.set("sweep.pm", "none");
+  watts.set("sweep.pm_cap_watts", "-5");
+  EXPECT_NE(grid_error(watts).find("sweep.pm_cap_watts"), std::string::npos);
+}
+
+TEST(GridTest, WorkloadAxisReplacesTheWholeWorkloadGroup) {
+  // The base's SWF-only keys go with its source, so they cannot trip the
+  // unread-key check on an archive point.
+  util::Config config;
+  config.set("workload.source", "swf");
+  config.set("workload.path", "base.swf");
+  config.set("workload.cpus", "64");
+  config.set("workload.jobs", "120");
+  config.set("sweep.workloads", "CTC, other.swf");
+  const std::vector<RunSpec> specs = expand_grid(config);
+  ASSERT_EQ(specs.size(), 2u);
+  EXPECT_EQ(specs[0].workload.kind, wl::WorkloadSource::Kind::kArchive);
+  EXPECT_EQ(specs[0].workload.jobs, 120);
+  EXPECT_EQ(specs[1].workload.path, "other.swf");
+  EXPECT_EQ(specs[1].workload.cpus, 0);
+}
+
+TEST(GridTest, SweepSmokeGridKeysArePinned) {
+  // examples/specs/sweep_smoke.conf (8 points) expands to the same key
+  // sequence it did when grid points were built field by field.
+  const std::vector<RunSpec> specs =
+      expand_grid(util::Config::load_file(BSLD_SWEEP_SMOKE_GRID));
+  ASSERT_EQ(specs.size(), 8u);
+  std::string keys;
+  for (const RunSpec& spec : specs) keys += spec.key();
+  EXPECT_EQ(util::hex64(util::fnv1a64(keys)), "1e669b087726a569") << keys;
 }
 
 }  // namespace

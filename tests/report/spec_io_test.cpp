@@ -459,6 +459,79 @@ TEST(SpecIoTest, UnknownInstrumentRejectedListingRegistry) {
   }
 }
 
+/// The message of the bsld::Error `parse` throws on `text`, or "" when it
+/// parses.
+std::string parse_error(const std::string& text) {
+  try {
+    (void)RunSpec::parse(util::Config::parse(text));
+  } catch (const Error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(SpecIoTest, KeysTheSpecDoesNotReadAreErrorsNamingTheKey) {
+  // Each of these once parsed and silently ran something else.
+  EXPECT_NE(parse_error("policy.dvfs = true\npolicy.bsld_treshold = 3\n")
+                .find("`policy.bsld_treshold`"),
+            std::string::npos);
+  EXPECT_NE(parse_error("workload.source = archive\nworkload.cpus = 64\n")
+                .find("`workload.cpus`"),
+            std::string::npos);
+  EXPECT_NE(parse_error("policy.dvfs = false\npolicy.bsld_threshold = 3\n")
+                .find("`policy.bsld_threshold`"),
+            std::string::npos);
+  EXPECT_NE(parse_error("policy.raise.one_step = true\n")
+                .find("`policy.raise.one_step`"),
+            std::string::npos);
+  EXPECT_NE(parse_error("pm = none\npm.cap_watts = 4000\n").find("pm.cap_watts"),
+            std::string::npos);
+  // The same keys where the spec does read them.
+  EXPECT_EQ(parse_error("policy.dvfs = true\npolicy.bsld_threshold = 3\n"), "");
+  EXPECT_EQ(parse_error("workload.source = swf\nworkload.path = t.swf\n"
+                        "workload.cpus = 64\n"),
+            "");
+}
+
+TEST(SpecIoTest, NegativeQueueLimitsAreRejectedAtParse) {
+  EXPECT_NE(parse_error("policy.dvfs = true\npolicy.wq_threshold = -1\n")
+                .find("`policy.wq_threshold`"),
+            std::string::npos);
+  EXPECT_NE(parse_error("policy.raise.queue_limit = -1\n")
+                .find("`policy.raise.queue_limit`"),
+            std::string::npos);
+  EXPECT_EQ(parse_error("policy.dvfs = true\npolicy.wq_threshold = 0\n"
+                        "policy.raise.queue_limit = 0\n"),
+            "");
+}
+
+TEST(SpecIoTest, HashInsideAPathRoundTrips) {
+  RunSpec spec;
+  spec.workload = wl::WorkloadSource::from_swf("tr#1.swf", 10);
+  const std::string text = spec.to_config().to_string();
+  EXPECT_NE(text.find("workload.path = tr#1.swf\n"), std::string::npos);
+  const RunSpec parsed = RunSpec::parse(util::Config::parse(text));
+  EXPECT_EQ(parsed.workload.path, "tr#1.swf");
+  EXPECT_EQ(parsed, spec);
+  EXPECT_EQ(parsed.key(), spec.key());
+}
+
+TEST(SpecIoTest, PathsThatWouldNotReadBackAreRefusedNamingTheKey) {
+  for (const char* path : {"a #b.swf", " lead.swf", "trail.swf ", "#x.swf",
+                           "two\nlines.swf"}) {
+    RunSpec spec;
+    spec.workload = wl::WorkloadSource::from_swf(path, 10);
+    try {
+      (void)spec.to_config();
+      FAIL() << "wrote `" << path << "`";
+    } catch (const Error& error) {
+      EXPECT_NE(std::string(error.what()).find("`workload.path`"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 TEST(SpecIoTest, DefaultInstrumentFieldsKeepLegacySerialization) {
   // Specs without instruments/retain_jobs must serialize exactly as before
   // the measurement fields existed — saved spec files stay byte-stable.

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/config_value.hpp"
 #include "util/error.hpp"
 
 namespace bsld::server {
 namespace {
+
+using testing::config_value;
 
 TEST(RequestParserTest, SimpleVerbs) {
   RequestParser parser;
@@ -38,7 +41,8 @@ TEST(RequestParserTest, RunRequestCollectsBodyUntilEnd) {
   EXPECT_FALSE(parser.mid_request());
   EXPECT_EQ(request->kind, Request::Kind::kRun);
   EXPECT_EQ(request->format, "jsonl");
-  EXPECT_EQ(request->config.get_string("workload.archive", ""), "CTC");
+  EXPECT_EQ(config_value<std::string>(request->config, "workload.archive", ""),
+            "CTC");
 }
 
 TEST(RequestParserTest, RunDefaultsToCsv) {

@@ -11,11 +11,14 @@
 
 #include "report/result_cache.hpp"
 #include "server/protocol.hpp"
+#include "testing/config_value.hpp"
 #include "util/error.hpp"
 #include "util/socket.hpp"
 
 namespace bsld::server {
 namespace {
+
+using testing::config_value;
 
 namespace fs = std::filesystem;
 
@@ -155,7 +158,7 @@ TEST_F(ServerTest, StatsReportStoreContents) {
   const Frame stats = read_frame(client);
   ASSERT_TRUE(stats.header.ok);
   const util::Config parsed = util::Config::parse(stats.payload);
-  EXPECT_EQ(parsed.get_int("store.entries", -1), 1);
+  EXPECT_EQ(config_value<std::int64_t>(parsed, "store.entries", -1), 1);
 }
 
 TEST_F(ServerTest, SecondDaemonOnTheSameSocketIsRefused) {

@@ -12,10 +12,13 @@
 #include "report/grid.hpp"
 #include "report/result_cache.hpp"
 #include "report/sinks.hpp"
+#include "testing/config_value.hpp"
 #include "util/error.hpp"
 
 namespace bsld::server {
 namespace {
+
+using testing::config_value;
 
 namespace fs = std::filesystem;
 
@@ -134,9 +137,9 @@ TEST_F(SweepServiceTest, MalformedNumericSpecRaisesNamedError) {
 TEST_F(SweepServiceTest, StatsPayloadParsesAsConfig) {
   (void)service_->run(run_request(kGridText, "csv"));
   const util::Config stats = util::Config::parse(service_->stats_payload());
-  EXPECT_EQ(stats.get_int("store.entries", -1), 2);
-  EXPECT_EQ(stats.get_int("cache.stores", -1), 2);
-  EXPECT_EQ(stats.get_string("cache.root", ""), root_.string());
+  EXPECT_EQ(config_value<std::int64_t>(stats, "store.entries", -1), 2);
+  EXPECT_EQ(config_value<std::int64_t>(stats, "cache.stores", -1), 2);
+  EXPECT_EQ(config_value<std::string>(stats, "cache.root", ""), root_.string());
 }
 
 }  // namespace

@@ -8,10 +8,13 @@
 #include <string>
 #include <vector>
 
+#include "testing/config_value.hpp"
 #include "util/error.hpp"
 
 namespace bsld::util {
 namespace {
+
+using testing::config_value;
 
 TEST(ConfigTest, ParseBasics) {
   const Config config = Config::parse(
@@ -20,42 +23,43 @@ TEST(ConfigTest, ParseBasics) {
       "gears.count = 6  # inline comment\n"
       "\n"
       "name = paper gear set\n");
-  EXPECT_DOUBLE_EQ(config.get_double("power.beta", 0.0), 0.5);
-  EXPECT_EQ(config.get_int("gears.count", 0), 6);
-  EXPECT_EQ(config.get_string("name", ""), "paper gear set");
+  EXPECT_DOUBLE_EQ(config_value<double>(config, "power.beta", 0.0), 0.5);
+  EXPECT_EQ(config_value<std::int64_t>(config, "gears.count", 0), 6);
+  EXPECT_EQ(config_value<std::string>(config, "name", ""), "paper gear set");
 }
 
 TEST(ConfigTest, FallbacksForMissingKeys) {
   const Config config = Config::parse("");
-  EXPECT_DOUBLE_EQ(config.get_double("absent", 2.5), 2.5);
-  EXPECT_EQ(config.get_int("absent", -7), -7);
-  EXPECT_TRUE(config.get_bool("absent", true));
-  EXPECT_EQ(config.get_string("absent", "x"), "x");
+  EXPECT_DOUBLE_EQ(config_value<double>(config, "absent", 2.5), 2.5);
+  EXPECT_EQ(config_value<std::int64_t>(config, "absent", -7), -7);
+  EXPECT_TRUE(config_value<bool>(config, "absent", true));
+  EXPECT_EQ(config_value<std::string>(config, "absent", "x"), "x");
 }
 
 TEST(ConfigTest, BooleanSpellings) {
   const Config config = Config::parse(
       "a = true\nb = YES\nc = 1\nd = off\ne = False\nf = 0\n");
-  EXPECT_TRUE(config.get_bool("a", false));
-  EXPECT_TRUE(config.get_bool("b", false));
-  EXPECT_TRUE(config.get_bool("c", false));
-  EXPECT_FALSE(config.get_bool("d", true));
-  EXPECT_FALSE(config.get_bool("e", true));
-  EXPECT_FALSE(config.get_bool("f", true));
+  EXPECT_TRUE(config_value<bool>(config, "a", false));
+  EXPECT_TRUE(config_value<bool>(config, "b", false));
+  EXPECT_TRUE(config_value<bool>(config, "c", false));
+  EXPECT_FALSE(config_value<bool>(config, "d", true));
+  EXPECT_FALSE(config_value<bool>(config, "e", true));
+  EXPECT_FALSE(config_value<bool>(config, "f", true));
 }
 
 TEST(ConfigTest, DoubleList) {
   const Config config = Config::parse("gears.frequencies_ghz = 0.8, 1.1,1.4\n");
-  const auto list = config.get_double_list("gears.frequencies_ghz", {});
+  const auto list =
+      config_value<std::vector<double>>(config, "gears.frequencies_ghz", {});
   ASSERT_EQ(list.size(), 3u);
   EXPECT_DOUBLE_EQ(list[1], 1.1);
 }
 
 TEST(ConfigTest, TypeErrorsThrow) {
   const Config config = Config::parse("x = not_a_number\n");
-  EXPECT_THROW((void)config.get_double("x", 0.0), Error);
-  EXPECT_THROW((void)config.get_int("x", 0), Error);
-  EXPECT_THROW((void)config.get_bool("x", false), Error);
+  EXPECT_THROW((void)config_value<double>(config, "x", 0.0), Error);
+  EXPECT_THROW((void)config_value<std::int64_t>(config, "x", 0), Error);
+  EXPECT_THROW((void)config_value<bool>(config, "x", false), Error);
 }
 
 TEST(ConfigTest, NumericDiagnosticsNameTheKey) {
@@ -66,16 +70,16 @@ TEST(ConfigTest, NumericDiagnosticsNameTheKey) {
       "threshold = 2x5\nbig = 99999999999999999999999\nbad_nan = nan\n"
       "list = 1.5, oops, 3\n");
   try {
-    (void)config.get_double("threshold", 0.0);
+    (void)config_value<double>(config, "threshold", 0.0);
     FAIL() << "expected bsld::Error";
   } catch (const Error& error) {
     EXPECT_NE(std::string(error.what()).find("threshold"), std::string::npos);
     EXPECT_NE(std::string(error.what()).find("2x5"), std::string::npos);
   }
-  EXPECT_THROW((void)config.get_int("big", 0), Error);
-  EXPECT_THROW((void)config.get_double("bad_nan", 0.0), Error);
+  EXPECT_THROW((void)config_value<std::int64_t>(config, "big", 0), Error);
+  EXPECT_THROW((void)config_value<double>(config, "bad_nan", 0.0), Error);
   try {
-    (void)config.get_double_list("list", {});
+    (void)config_value<std::vector<double>>(config, "list", {});
     FAIL() << "expected bsld::Error";
   } catch (const Error& error) {
     EXPECT_NE(std::string(error.what()).find("list"), std::string::npos);
@@ -97,7 +101,7 @@ TEST(ConfigTest, SetAndContains) {
   EXPECT_FALSE(config.contains("k"));
   config.set("k", "v");
   EXPECT_TRUE(config.contains("k"));
-  EXPECT_EQ(config.get_string("k", ""), "v");
+  EXPECT_EQ(config_value<std::string>(config, "k", ""), "v");
 }
 
 TEST(ConfigTest, RoundTripThroughToString) {
@@ -106,7 +110,40 @@ TEST(ConfigTest, RoundTripThroughToString) {
   config.set("a.key", "1");
   const Config reparsed = Config::parse(config.to_string());
   EXPECT_EQ(reparsed.to_string(), config.to_string());
-  EXPECT_EQ(reparsed.get_int("a.key", 0), 1);
+  EXPECT_EQ(config_value<std::int64_t>(reparsed, "a.key", 0), 1);
+}
+
+TEST(ConfigTest, HashStartsACommentOnlyAtLineStartOrAfterWhitespace) {
+  const Config config = Config::parse(
+      "# a comment line\n"
+      "   # an indented one\n"
+      "path = tr#1.swf\n"
+      "x = 1 # inline\n"
+      "y = 2\t# after a tab\n");
+  EXPECT_EQ(config_value<std::string>(config, "path", ""), "tr#1.swf");
+  EXPECT_EQ(config_value<std::int64_t>(config, "x", 0), 1);
+  EXPECT_EQ(config_value<std::int64_t>(config, "y", 0), 2);
+  EXPECT_EQ(config.to_string(), "path = tr#1.swf\nx = 1\ny = 2\n");
+}
+
+TEST(ConfigTest, EraseTakesTheKeyAndTheKeysBelowIt) {
+  Config config;
+  for (const char* key : {"pm", "pm.cap_watts", "pm.gain", "pmx", "policy"}) {
+    config.set(key, "1");
+  }
+  config.erase("pm");
+  EXPECT_EQ(config.to_string(), "pmx = 1\npolicy = 1\n");
+}
+
+TEST(ConfigTest, MergeSetsEveryKeyOfTheOther) {
+  Config config;
+  config.set("a", "1");
+  config.set("b", "2");
+  Config other;
+  other.set("b", "3");
+  other.set("c", "4");
+  config.merge(other);
+  EXPECT_EQ(config.to_string(), "a = 1\nb = 3\nc = 4\n");
 }
 
 TEST(ConfigTest, MissingFileThrows) {
@@ -216,6 +253,70 @@ TEST(ConfigCodecTest, MalformedOrMissingValuesNameTheKey) {
   EXPECT_EQ(error_of(written, /*require_all=*/true), "");
   EXPECT_NE(error_of("name = n\n", /*require_all=*/true).find("missing key"),
             std::string::npos);
+}
+
+TEST(ConfigCodecTest, UnreadKeysAreErrorsNamingTheKeyAndItsOrigin) {
+  Config config = write_config(Sample{});
+  Sample sample;
+  ConfigCodec complete = ConfigCodec::reader(config);
+  bind_config(complete, sample);
+  EXPECT_NO_THROW(complete.reject_unread());
+
+  config.set("ratoi", "2");
+  ConfigCodec misspelled = ConfigCodec::reader(config);
+  bind_config(misspelled, sample);
+  try {
+    misspelled.reject_unread();
+    FAIL() << "expected bsld::Error";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("`ratoi`"), std::string::npos)
+        << error.what();
+  }
+
+  config.set("ratoi", "2", "--ratio");
+  ConfigCodec flagged = ConfigCodec::reader(config);
+  bind_config(flagged, sample);
+  try {
+    flagged.reject_unread();
+    FAIL() << "expected bsld::Error";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("--ratio"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(ConfigCodecTest, ValueErrorsNameTheOriginOfTheKey) {
+  Config config;
+  config.set("ratio", "2x5", "--ratio");
+  try {
+    (void)read_config<Sample>(config);
+    FAIL() << "expected bsld::Error";
+  } catch (const Error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("--ratio"), std::string::npos) << what;
+    EXPECT_NE(what.find("`ratio`"), std::string::npos) << what;
+  }
+}
+
+TEST(ConfigCodecTest, WriterRefusesTextThatWouldNotReadBack) {
+  for (const char* name : {"a #b", "a\t#b", "#a", " a", "a ", "a\nb"}) {
+    Sample sample;
+    sample.name = name;
+    try {
+      (void)write_config(sample);
+      FAIL() << "wrote `" << name << "`";
+    } catch (const Error& error) {
+      EXPECT_NE(std::string(error.what()).find("`name`"), std::string::npos)
+          << error.what();
+    }
+  }
+  for (const char* name : {"a#b", "a=b", "a b", ""}) {
+    Sample sample;
+    sample.name = name;
+    EXPECT_EQ(read_config<Sample>(Config::parse(
+                  write_config(sample).to_string())).name,
+              name);
+  }
 }
 
 }  // namespace

@@ -6,11 +6,14 @@
 #include <fstream>
 #include <limits>
 
+#include "testing/config_value.hpp"
 #include "util/error.hpp"
 #include "workload/swf.hpp"
 
 namespace bsld::wl {
 namespace {
+
+using testing::config_value;
 
 /// Writes a workload as SWF to a unique temp path; removed on destruction.
 class TempSwf {
@@ -152,7 +155,8 @@ TEST(WorkloadSourceConfigTest, FullRangeSeedsRoundTrip) {
   WorkloadSource source = WorkloadSource::from_archive(
       Archive::kCTC, 100, std::numeric_limits<std::uint64_t>::max());
   const util::Config config = util::write_config(source);
-  EXPECT_EQ(config.get_string("workload.seed", ""), "18446744073709551615");
+  EXPECT_EQ(config_value<std::string>(config, "workload.seed", ""),
+            "18446744073709551615");
   EXPECT_EQ(util::read_config<WorkloadSource>(config), source);
 
   util::Config bad;
