@@ -266,18 +266,7 @@ BENCHMARK(BM_CacheHitSweep)->Unit(benchmark::kMillisecond);
 /// RunSpec key round trip: every paper-grid spec (145 slots) serialized
 /// with to_config().to_string() — its key text — and parsed back.
 void BM_SpecCodec(benchmark::State& state) {
-  const report::OriginalSizeGrid original = report::original_size_grid(5000);
-  std::vector<report::RunSpec> specs = original.dvfs_specs;
-  specs.insert(specs.end(), original.baseline_specs.begin(),
-               original.baseline_specs.end());
-  for (const std::optional<std::int64_t>& wq :
-       {std::optional<std::int64_t>(0), std::optional<std::int64_t>()}) {
-    const report::EnlargedGrid enlarged = report::enlarged_grid(wq, 5000);
-    specs.insert(specs.end(), enlarged.dvfs_specs.begin(),
-                 enlarged.dvfs_specs.end());
-    specs.insert(specs.end(), enlarged.baseline_specs.begin(),
-                 enlarged.baseline_specs.end());
-  }
+  const std::vector<report::RunSpec> specs = report::paper_grid();
   for (auto _ : state) {
     for (const report::RunSpec& spec : specs) {
       const std::string text = spec.to_config().to_string();

@@ -130,6 +130,22 @@ fails --seed --seed -1 --jobs 40
 fails --platform --platform "$smoke" --jobs 40
 fails --bsld --bsld 2x5
 
+# Out-of-range values fail when the spec is read, naming the flag or key.
+printf 'time.beta = -3\n' > beta.conf
+printf 'beta.per_job = -1, 3\n' > per_job_beta.conf
+printf 'workload.jobs = -5\n' > jobs.conf
+printf 'workload.jobs = 0\n' > archive_jobs.conf
+printf 'scale = -2\n' > scale.conf
+fails --scale --scale -2 --jobs 40
+fails --jobs --workload CTC --jobs -5
+fails --jobs --workload trace.swf --jobs -5
+fails --platform --platform beta.conf --jobs 40
+fails '`time.beta`' --spec beta.conf
+fails '`beta.per_job`' --spec per_job_beta.conf
+fails '`workload.jobs`' --spec jobs.conf
+fails '`workload.jobs`' --spec archive_jobs.conf
+fails '`scale`' --spec scale.conf
+
 if [ "$failures" -ne 0 ]; then
   echo "flag_specs: $failures flag set(s) failed" >&2
   exit 1

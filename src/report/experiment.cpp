@@ -13,10 +13,18 @@ namespace bsld::report {
 
 void bind_config(util::ConfigCodec& codec, RunSpec& spec) {
   wl::bind_config(codec, spec.workload);
+  // Checked on the whole spec, not the workload group: bsldsim reads that
+  // group alone while `--jobs 0` waits for `--workload` to name an SWF file.
+  codec.check(spec.workload.kind != wl::WorkloadSource::Kind::kArchive ||
+                  spec.workload.jobs > 0,
+              "workload.jobs", "must be > 0 on an archive source");
   codec.field("scale", spec.size_scale);
+  codec.check(spec.size_scale > 0.0, "scale", "must be > 0");
   core::bind_config(codec, spec.policy);
   cluster::bind_config(codec, spec.gears);
   codec.field("time.beta", spec.beta);
+  codec.check(spec.beta >= 0.0 && spec.beta <= 1.0, "time.beta",
+              "must be in [0, 1]");
   power::bind_config(codec, spec.power);
   std::optional<std::vector<double>> range;
   if (spec.per_job_beta) {
@@ -24,8 +32,10 @@ void bind_config(util::ConfigCodec& codec, RunSpec& spec) {
   }
   codec.optional("beta.per_job", range);
   if (range) {
-    BSLD_REQUIRE(range->size() == 2,
-                 "RunSpec: beta.per_job expects `low, high`");
+    codec.check(range->size() == 2 && 0.0 <= (*range)[0] &&
+                    (*range)[0] <= (*range)[1] && (*range)[1] <= 1.0,
+                "beta.per_job",
+                "expects `low, high` with 0 <= low <= high <= 1");
     spec.per_job_beta = {(*range)[0], (*range)[1]};
   }
   pm::bind_config(codec, spec.pm);

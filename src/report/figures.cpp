@@ -1,7 +1,5 @@
 #include "report/figures.hpp"
 
-#include "util/error.hpp"
-
 namespace bsld::report {
 
 const std::vector<double>& paper_bsld_thresholds() {
@@ -68,36 +66,17 @@ EnlargedGrid enlarged_grid(const std::optional<std::int64_t>& wq_threshold,
   return grid;
 }
 
-GridResults run_grid(const std::vector<RunSpec>& dvfs_specs,
-                     const std::vector<RunSpec>& baseline_specs,
-                     unsigned threads) {
-  std::vector<RunSpec> all;
-  all.reserve(dvfs_specs.size() + baseline_specs.size());
-  all.insert(all.end(), dvfs_specs.begin(), dvfs_specs.end());
-  all.insert(all.end(), baseline_specs.begin(), baseline_specs.end());
-  std::vector<RunResult> results = run_all(all, threads);
-
-  GridResults out;
-  out.dvfs.assign(std::make_move_iterator(results.begin()),
-                  std::make_move_iterator(results.begin() +
-                                          static_cast<std::ptrdiff_t>(
-                                              dvfs_specs.size())));
-  out.baselines.assign(
-      std::make_move_iterator(results.begin() +
-                              static_cast<std::ptrdiff_t>(dvfs_specs.size())),
-      std::make_move_iterator(results.end()));
-  return out;
-}
-
-const RunResult& baseline_for(const GridResults& results, wl::Archive archive) {
-  for (const RunResult& result : results.baselines) {
-    if (result.spec.workload.kind == wl::WorkloadSource::Kind::kArchive &&
-        result.spec.workload.archive == archive) {
-      return result;
-    }
+std::vector<RunSpec> paper_grid(std::int32_t num_jobs) {
+  const OriginalSizeGrid original = original_size_grid(num_jobs);
+  const EnlargedGrid wq0 = enlarged_grid(std::int64_t{0}, num_jobs);
+  const EnlargedGrid wq_no = enlarged_grid(std::nullopt, num_jobs);
+  std::vector<RunSpec> grid;
+  for (const std::vector<RunSpec>* part :
+       {&original.dvfs_specs, &original.baseline_specs, &wq0.dvfs_specs,
+        &wq0.baseline_specs, &wq_no.dvfs_specs, &wq_no.baseline_specs}) {
+    grid.insert(grid.end(), part->begin(), part->end());
   }
-  throw Error("baseline_for(): no baseline for archive " +
-              wl::archive_name(archive));
+  return grid;
 }
 
 }  // namespace bsld::report

@@ -1,6 +1,6 @@
 /// \file figures.hpp
-/// \brief The paper's exact experiment grids and shared table formatting,
-/// so each bench binary is a thin wrapper around one figure/table.
+/// \brief The paper's exact experiment grids: the §5.1 and §5.2 specs
+/// that bench_paper renders as Tables 1-3 and Figs. 3-9.
 #pragma once
 
 #include <optional>
@@ -41,16 +41,9 @@ struct EnlargedGrid {
 EnlargedGrid enlarged_grid(const std::optional<std::int64_t>& wq_threshold,
                            std::int32_t num_jobs = 5000);
 
-/// Executes both parts of a grid in one parallel batch and splits results.
-struct GridResults {
-  std::vector<RunResult> dvfs;
-  std::vector<RunResult> baselines;
-};
-GridResults run_grid(const std::vector<RunSpec>& dvfs_specs,
-                     const std::vector<RunSpec>& baseline_specs,
-                     unsigned threads = 0);
-
-/// Baseline lookup: the baseline result for `archive` inside a GridResults.
-const RunResult& baseline_for(const GridResults& results, wl::Archive archive);
+/// The whole §5.1 + §5.2 sequence, 145 slots: original_size_grid's
+/// dvfs_specs then baseline_specs, then the same two parts of
+/// enlarged_grid(0), then of enlarged_grid(NO).
+std::vector<RunSpec> paper_grid(std::int32_t num_jobs = 5000);
 
 }  // namespace bsld::report

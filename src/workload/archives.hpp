@@ -11,9 +11,9 @@
 /// | LLNL-Atlas         | 9216 |  1.08 | large parallel jobs             |
 ///
 /// Each profile is calibrated so a 5000-job trace scheduled with plain EASY
-/// (no DVFS) lands near the paper's baseline avg BSLD; `bench_table1`
-/// reports paper-vs-measured. The seeds below are the library defaults so
-/// all experiments agree on the exact trace bytes.
+/// (no DVFS) lands near the paper's baseline avg BSLD; `bench_paper
+/// table1` reports paper-vs-measured. The seeds below are the library
+/// defaults so all experiments agree on the exact trace bytes.
 #pragma once
 
 #include <string>

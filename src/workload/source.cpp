@@ -269,10 +269,10 @@ WorkloadSource resolve_source(const std::string& name_or_path,
                               std::int64_t jobs, std::uint64_t seed) {
   for (const Archive archive : all_archives()) {
     if (archive_name(archive) == name_or_path) {
-      // jobs <= 0 means "whole file" for SWF sources but is meaningless for
+      // jobs = 0 means "whole file" for SWF sources but is meaningless for
       // a generator; fall back to the paper's slice length so switching a
       // whole-file spec to an archive name keeps working.
-      return WorkloadSource::from_archive(archive, jobs > 0 ? jobs : 5000,
+      return WorkloadSource::from_archive(archive, jobs == 0 ? 5000 : jobs,
                                           seed);
     }
   }
@@ -294,6 +294,7 @@ void bind_config(util::ConfigCodec& codec, WorkloadSource& source) {
     source.jobs = source.kind == Kind::kArchive ? 5000 : 0;
   }
   codec.field("workload.jobs", source.jobs);
+  codec.check(source.jobs >= 0, "workload.jobs", "must be >= 0");
   codec.field("workload.seed", source.seed);
   switch (source.kind) {
     case Kind::kArchive: {

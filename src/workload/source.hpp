@@ -103,15 +103,17 @@ std::string source_label(const WorkloadSource& source);
 /// equal sources stay bit-identical.
 std::uint64_t source_seed(const WorkloadSource& source);
 
-/// CLI convenience: a string naming an archive model resolves to kArchive,
-/// anything else is treated as an SWF file path.
+/// CLI convenience: a string naming an archive model resolves to kArchive
+/// (jobs = 0, "whole file", becomes the paper's 5000-job slice), anything
+/// else is treated as an SWF file path.
 WorkloadSource resolve_source(const std::string& name_or_path,
                               std::int64_t jobs = 5000, std::uint64_t seed = 0);
 
 /// The `workload.*` keys (util::ConfigCodec): kind, jobs and seed, then the
 /// keys its kind needs. Reading, an absent `workload.jobs` takes the kind's
-/// default (5000 for archives, 0 otherwise); an unknown kind or archive or
-/// an swf source without `workload.path` is a bsld::Error.
+/// default (5000 for archives, 0 otherwise); a negative `workload.jobs`,
+/// an unknown kind or archive or an swf source without `workload.path` is
+/// a bsld::Error.
 void bind_config(util::ConfigCodec& codec, WorkloadSource& source);
 
 /// The `workload.spec.*` keys of an inline generator profile. The runtime

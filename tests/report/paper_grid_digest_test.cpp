@@ -8,7 +8,6 @@
 /// would be stale, so a mismatch demands a ResultCache::kSchemaEpoch bump.
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,26 +22,8 @@ namespace {
 
 constexpr const char* kPinnedDigest = "36ff79c747dbc2d9";
 
-/// The paper grid in canonical order.
-std::vector<RunSpec> paper_grid() {
-  std::vector<RunSpec> grid;
-  const auto append = [&grid](const std::vector<RunSpec>& part) {
-    grid.insert(grid.end(), part.begin(), part.end());
-  };
-  const OriginalSizeGrid original = original_size_grid(5000);
-  append(original.dvfs_specs);
-  append(original.baseline_specs);
-  for (const std::optional<std::int64_t>& wq :
-       {std::optional<std::int64_t>(0), std::optional<std::int64_t>()}) {
-    const EnlargedGrid enlarged = enlarged_grid(wq, 5000);
-    append(enlarged.dvfs_specs);
-    append(enlarged.baseline_specs);
-  }
-  return grid;
-}
-
 TEST(PaperGridDigestTest, CanonicalGridCsvIsPinned) {
-  const std::vector<RunSpec> grid = paper_grid();
+  const std::vector<RunSpec> grid = paper_grid(5000);
   ASSERT_EQ(grid.size(), 145u);
   SweepRunner::Options options;
   options.threads = 2;

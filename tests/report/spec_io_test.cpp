@@ -505,6 +505,30 @@ TEST(SpecIoTest, NegativeQueueLimitsAreRejectedAtParse) {
             "");
 }
 
+TEST(SpecIoTest, OutOfRangeValuesAreRejectedAtParseNamingTheKey) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"workload.jobs = -5\n", "workload.jobs"},
+      {"workload.jobs = 0\n", "workload.jobs"},  // an archive source
+      {"workload.source = swf\nworkload.path = t.swf\n"
+       "workload.jobs = -1\n",
+       "workload.jobs"},
+      {"scale = -2\n", "scale"},
+      {"scale = 0\n", "scale"},
+      {"time.beta = -3\n", "time.beta"},
+      {"time.beta = 1.5\n", "time.beta"},
+      {"beta.per_job = -1, 3\n", "beta.per_job"},
+      {"beta.per_job = 0.7, 0.3\n", "beta.per_job"},
+      {"beta.per_job = 0.5\n", "beta.per_job"}};
+  for (const auto& [text, key] : cases) {
+    EXPECT_NE(parse_error(text).find("`" + key + "`"), std::string::npos)
+        << text;
+  }
+  EXPECT_EQ(parse_error("workload.source = swf\nworkload.path = t.swf\n"
+                        "workload.jobs = 0\nscale = 0.5\ntime.beta = 0\n"
+                        "beta.per_job = 0, 1\n"),
+            "");
+}
+
 TEST(SpecIoTest, HashInsideAPathRoundTrips) {
   RunSpec spec;
   spec.workload = wl::WorkloadSource::from_swf("tr#1.swf", 10);

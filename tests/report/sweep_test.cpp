@@ -522,20 +522,5 @@ TEST(FiguresTest, PaperGridsHaveExpectedShapes) {
   }
 }
 
-TEST(FiguresTest, RunGridSplitsAndBaselineLookupWorks) {
-  const OriginalSizeGrid grid = original_size_grid(200);
-  // Only a slice, to keep the test quick: two archives' worth.
-  std::vector<RunSpec> dvfs(grid.dvfs_specs.begin(),
-                            grid.dvfs_specs.begin() + 4);
-  std::vector<RunSpec> baselines(grid.baseline_specs.begin(),
-                                 grid.baseline_specs.begin() + 1);
-  const GridResults results = run_grid(dvfs, baselines, 4);
-  EXPECT_EQ(results.dvfs.size(), 4u);
-  EXPECT_EQ(results.baselines.size(), 1u);
-  EXPECT_EQ(baseline_for(results, wl::Archive::kCTC).spec.workload.archive,
-            wl::Archive::kCTC);
-  EXPECT_THROW((void)baseline_for(results, wl::Archive::kSDSC), Error);
-}
-
 }  // namespace
 }  // namespace bsld::report
